@@ -60,10 +60,6 @@ INF = _Infinity()
 ExtInt = Union[int, _Infinity]
 
 
-def is_finite(v: ExtInt) -> bool:
-    return v is not INF
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -283,7 +279,6 @@ class RatFunc:
 class CoefficientField:
     """Arithmetic, valuation and residue dispatch for one scalar type."""
 
-    is_field = True
     label = "?"
 
     # -- scalar construction ------------------------------------------------
@@ -613,8 +608,6 @@ class ModPmRing(CoefficientField):
     algorithm, where every divisor either has unit leading coefficient or the
     quotient coefficient has strictly positive valuation.
     """
-
-    is_field = False
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p):

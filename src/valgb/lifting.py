@@ -56,22 +56,38 @@ def clear_denominators(f: Polynomial) -> Polynomial:
     return f.scale(Fraction(scale, g))
 
 
-def _degree_rows(F: list, d: int, columns: list[Monomial]) -> list[list]:
-    """Coefficient rows of all monomial multiples of F landing in degree d."""
-    field = F[0].field
-    nvars = F[0].nvars
-    zero = field.zero()
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
+def _macaulay_rows(F: list, monomials: list = ()):
+    """Return rows(d, columns), the coefficient rows of F's degree-d multiples.
+
+    F (nonzero) and the monomials must agree on field and variable count.
+    Rational generators are scaled to coprime integers once, so their rows
+    are int lists with the same row space.
+    """
+    field, nvars = F[0].field, F[0].nvars
+    if any(f.field != field or f.nvars != nvars for f in F):
+        raise ValueError("generator field/variable mismatch")
+    if any(len(m) != nvars for m in monomials):
+        raise ValueError("monomial/variable mismatch")
+    rational = type(field.zero()) is Fraction
+    zero = 0 if rational else field.zero()
+    gens = []
     for f in F:
-        k = d - f.homogeneous_degree()
-        if k < 0:
-            continue
-        for v in monomials_of_degree(nvars, k):
-            row = [zero] * len(columns)
-            for m, c in f.terms.items():
-                row[index[tuple(a + b for a, b in zip(m, v))]] = c
-            rows.append(row)
+        terms = f.terms
+        if rational:
+            terms = {m: c.numerator for m, c in clear_denominators(f).terms.items()}
+        gens.append((f.homogeneous_degree(), terms))
+
+    def rows(d: int, columns: list[Monomial]) -> list[list]:
+        index = {m: i for i, m in enumerate(columns)}
+        out = []
+        for degree, terms in gens:
+            for v in monomials_of_degree(nvars, d - degree):
+                row = [zero] * len(columns)
+                for m, c in terms.items():
+                    row[index[tuple(a + b for a, b in zip(m, v))]] = c
+                out.append(row)
+        return out
+
     return rows
 
 
@@ -80,22 +96,10 @@ def hilbert_dim(F: list, d: int) -> int:
     F = [f for f in F if not f.is_zero()]
     if not F:
         return 0
-    for f in F:
-        if not f.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
     field = F[0].field
-    columns = monomials_of_degree(F[0].nvars, d)
-    rows = _degree_rows(F, d, columns)
-    if not rows:
-        return 0
-    if isinstance(next(iter(F[0].terms.values())), Fraction):
-        int_rows = []
-        for row in rows:
-            den = 1
-            for c in row:
-                den = lcm(den, c.denominator)
-            int_rows.append([int(c * den) for c in row])
-        return bareiss_rank(int_rows)
+    rows = _macaulay_rows(F)(d, monomials_of_degree(F[0].nvars, d))
+    if type(field.zero()) is Fraction:
+        return bareiss_rank(rows)
     return len(rref(rows, field)[0])
 
 
@@ -115,19 +119,18 @@ def lift_groebner(
         raise ValueError("need at least one nonzero generator")
     field = F[0].field
     nvars = F[0].nvars
-    targets = minimal_generators([tuple(m) for m in monomials])
+    monomials = [tuple(m) for m in monomials]
+    degree_rows = _macaulay_rows(F, monomials)
+    targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
-    if isinstance(next(iter(F[0].terms.values())), Fraction):
-        F = [clear_denominators(f) for f in F]
     out = []
     for d in sorted({mono_degree(m) for m in targets}):
         all_d = monomials_of_degree(nvars, d, order.tiebreak)
         block = [m for m in all_d if any(mono_divides(t, m) for t in targets)]
         rest = [m for m in all_d if not any(mono_divides(t, m) for t in targets)]
         columns = block + rest
-        rows = _degree_rows(F, d, columns)
-        reduced, pivots = rref(rows, field)
+        reduced, pivots = rref(degree_rows(d, columns), field)
         if pivots != list(range(len(block))):
             raise LiftInconsistent(
                 f"initial-ideal claim inconsistent in degree {d}: expected the "

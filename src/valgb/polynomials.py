@@ -298,7 +298,8 @@ def monomials_of_degree(nvars: int, d: int, order: TermOrder | None = None) -> l
 
 def _compositions(nvars: int, d: int) -> Iterator[Monomial]:
     if nvars == 1:
-        yield (d,)
+        if d >= 0:
+            yield (d,)
         return
     for first in range(d, -1, -1):
         for rest in _compositions(nvars - 1, d - first):

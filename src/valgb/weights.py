@@ -32,9 +32,6 @@ class WeightedOrder:
     def nvars(self) -> int:
         return len(self.weights)
 
-    def wdot(self, mono: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, mono))
-
 
 def weight_dot(weights, mono: Monomial) -> int:
     return sum(w * e for w, e in zip(weights, mono))

@@ -251,3 +251,28 @@ def series_valuation(num_coeffs, den_coeffs, order=50):
         if c != 0:
             return k - stripped
     return None
+
+
+# -- linear algebra -----------------------------------------------------------
+
+
+def gauss_jordan(rows):
+    """Textbook Fraction Gauss-Jordan with the first nonzero entry as pivot.
+
+    Returns (nonzero reduced rows in pivot order, pivot column indices).
+    """
+    m = [[Fraction(c) for c in r] for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][col] != 0), None)
+        if r is None:
+            continue
+        m[k], m[r] = m[r], m[k]
+        m[k] = [c / m[k][col] for c in m[k]]
+        for i in range(len(m)):
+            factor = m[i][col]
+            if i != k and factor != 0:
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from valgb import (
+    GF,
     GREVLEX,
     Qp,
     QQ,
     Qt,
+    RatFunc,
     WeightedOrder,
     buchberger,
     hilbert_dim,
@@ -20,6 +23,7 @@ from valgb.lifting import LiftInconsistent, clear_denominators, gb_mod_pm
 from valgb.linalg import bareiss_rank, rref
 
 from conftest import P, polys, random_ideal, random_weights, zero_order
+from oracles import gauss_jordan
 
 XYZ = "x,y,z"
 
@@ -40,6 +44,68 @@ def test_bareiss_rank_against_fraction_elimination():
         frac_rows = [[Fraction(c) for c in row] for row in m]
         _, pivots = rref(frac_rows, QQ)
         assert bareiss_rank(m) == len(pivots)
+
+
+def _random_fraction_matrix(rng, nrows, ncols):
+    """A product of random Fraction factors of inner size below the shape,
+    with zero rows and zero columns inserted at random places."""
+    inner = rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+    left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+    m = [
+        [sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0))
+         for j in range(ncols)]
+        for row in left
+    ]
+    for _ in range(rng.randint(0, 2)):
+        j = rng.randint(0, ncols)
+        for row in m:
+            row.insert(j, Fraction(0))
+        ncols += 1
+    for _ in range(rng.randint(0, 2)):
+        m.insert(rng.randint(0, len(m)), [Fraction(0)] * ncols)
+    return m
+
+
+def test_rref_and_rank_against_gauss_jordan_oracle():
+    rng = random.Random("rref-oracle")
+    for trial in range(300):
+        m = _random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        expected = gauss_jordan(m)
+        for field in (QQ, Qp(2)):
+            assert rref(m, field) == expected, f"trial {trial}, {field}"
+        scale = lcm(*(c.denominator for row in m for c in row))
+        ints = [[int(c * scale) for c in row] for row in m]
+        assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
+
+
+def test_rref_keeps_field_scalar_types():
+    qt = Qt()
+    t, one = RatFunc.t_power(1), qt.one()
+    rows = [[t, one, qt.zero()], [one, t, t], [t, t, one]]
+    reduced, pivots = rref(rows, qt)
+    assert pivots == [0, 1, 2]
+    assert all(isinstance(c, RatFunc) for row in reduced for c in row)
+    reduced, pivots = rref([[1, 2, 0], [0, 1, 3], [4, 0, 2]], GF(5))
+    assert pivots == [0, 1, 2]
+    assert all(type(c) is int for row in reduced for c in row)
+
+
+def test_macaulay_inputs_must_agree():
+    f2 = Qp(2)
+    mixed_nvars = [P(f2, "x,y", "x+2y"), P(f2, "x,y,z", "x+3y")]
+    with pytest.raises(ValueError, match="field/variable mismatch"):
+        hilbert_dim(mixed_nvars, 1)
+    mixed_fields = [P(f2, "x,y", "x+2y"), P(Qp(3), "x,y", "y+3x")]
+    with pytest.raises(ValueError, match="field/variable mismatch"):
+        lift_groebner(mixed_fields, zero_order(2), [(1, 0), (0, 1)])
+    F = polys(f2, "x,y", "x+2y", "y+2x")
+    with pytest.raises(ValueError, match="monomial/variable mismatch"):
+        lift_groebner(F, zero_order(2), [(1, 0, 0), (0, 1)])
 
 
 def test_rref_prefers_low_valuation_pivots():

@@ -119,6 +119,8 @@ def test_monomials_of_degree():
     assert monomials_of_degree(3, 0) == [(0, 0, 0)]
     assert len(monomials_of_degree(3, 2)) == 6
     assert len(monomials_of_degree(4, 5)) == 56  # C(8, 5)
+    for nvars, d in [(1, -2), (2, -1), (3, -4)]:
+        assert monomials_of_degree(nvars, d) == []
 
 
 def test_ring_axioms_random():
