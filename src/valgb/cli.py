@@ -58,10 +58,11 @@ def _cmd_gb(args) -> int:
             use_criteria=not args.no_criteria,
             max_steps=args.max_steps,
             stats=stats,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
         )
-        if stats.get("fallback"):
-            print("note: direct rational computation used", file=sys.stderr)
+        if stats["fallback"]:
+            print(f"warning: mod-{stats['p']}^m pipeline failed verification after "
+                  f"{stats['retries']} retries; direct rational computation used",
+                  file=sys.stderr)
     else:
         progress = None
         if args.progress:

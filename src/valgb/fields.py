@@ -5,8 +5,9 @@ Every algorithm in this package runs over one of these domains:
 * ``Qp(p)``         rationals with the p-adic valuation,
 * ``QQ``            rationals with the trivial valuation,
 * ``Qt()``          rational functions in t with the t-adic valuation,
-* ``GF(p)``         prime fields (trivially valued; the residue fields of Qp),
-* ``ModPmRing``     integers mod p^m with the truncated p-adic valuation.
+* ``ModPmRing``     integers mod p^m with the truncated p-adic valuation,
+* ``GF(p)``         prime fields: the case m = 1 of ``ModPmRing``, trivially
+                    valued, and the residue fields of Qp and Z/p^m.
 
 Scalars are plain Python values (Fraction, int, RatFunc) kept in a unique
 canonical form; all arithmetic and valuation queries are dispatched through
@@ -322,43 +323,39 @@ class CoefficientField:
         """Section of the valuation: a scalar with val(phi(w)) = w."""
         raise NotImplementedError
 
+    def unit_residue(self, a):
+        """Residue of the unit part a * phi(-val(a)) of a nonzero scalar."""
+        raise NotImplementedError
+
     def residue(self, a):
         """Image of a scalar of nonnegative valuation in the residue field."""
-        raise NotImplementedError
+        v = self.val(a)
+        if v < 0:
+            raise ValueError("not in valuation ring")
+        if v == 0:
+            return self.unit_residue(a)
+        return self.residue_field().zero()
 
     def initial_residue(self, a):
         """Residue of the unit part a * phi(-val(a)); nonzero for a != 0."""
-        v = self.val(a)
-        if v is INF:
+        if self.is_zero(a):
             raise ValueError("zero scalar has no initial residue")
-        return self.residue(self.mul(self.phi(-v), a))
+        return self.unit_residue(a)
 
     def residue_field(self) -> "CoefficientField":
         raise NotImplementedError
 
     # -- display ------------------------------------------------------------
-    def scalar_str(self, a) -> str:
-        return str(a)
-
     def format_coefficient(self, a) -> tuple[bool, str]:
         """(is_negative, magnitude) for printing ``a * monomial`` products."""
-        return False, self.scalar_str(a)
+        return False, str(a)
 
     def __repr__(self):
         return self.label
 
 
-class _FractionFieldMixin:
-    """Shared Fraction-based arithmetic for Qp(p) and trivially valued Q."""
-
-    def zero(self):
-        return _F0
-
-    def one(self):
-        return _F1
-
-    def coerce(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+class _OperatorField(CoefficientField):
+    """Field arithmetic through the scalars' own operators (Fraction, RatFunc)."""
 
     def add(self, a, b):
         return a + b
@@ -376,13 +373,26 @@ class _FractionFieldMixin:
         return a / b
 
     def is_zero(self, a):
-        return a == 0
+        return not a
+
+
+class _FractionScalars:
+    """Fraction scalars, shared by Qp(p) and trivially valued Q."""
+
+    def zero(self):
+        return _F0
+
+    def one(self):
+        return _F1
+
+    def coerce(self, x):
+        return x if type(x) is Fraction else Fraction(x)
 
     def format_coefficient(self, a):
         return a < 0, str(-a if a < 0 else a)
 
 
-class RationalField(_FractionFieldMixin, CoefficientField):
+class RationalField(_FractionScalars, _OperatorField):
     """Q with the trivial valuation; its own residue field."""
 
     label = "Q"
@@ -395,12 +405,7 @@ class RationalField(_FractionFieldMixin, CoefficientField):
             raise ValueError("trivial valuation has value group {0}")
         return _F1
 
-    def residue(self, a):
-        return a
-
-    def initial_residue(self, a):
-        if a == 0:
-            raise ValueError("zero scalar has no initial residue")
+    def unit_residue(self, a):
         return a
 
     def residue_field(self):
@@ -413,7 +418,7 @@ class RationalField(_FractionFieldMixin, CoefficientField):
         return hash("field-Q")
 
 
-class QpField(_FractionFieldMixin, CoefficientField):
+class QpField(_FractionScalars, _OperatorField):
     """Q with the p-adic valuation; residue field GF(p)."""
 
     def __init__(self, p: int):
@@ -432,14 +437,11 @@ class QpField(_FractionFieldMixin, CoefficientField):
     def phi(self, w):
         return Fraction(self.p) ** w
 
-    def residue(self, a):
-        v = self.val(a)
-        if v is not INF and v < 0:
-            raise ValueError("not in valuation ring")
-        if v is INF or v > 0:
-            return 0
-        # val 0 means p does not divide the (reduced) denominator
-        return a.numerator * pow(a.denominator, -1, self.p) % self.p
+    def unit_residue(self, a):
+        p = self.p
+        num = a.numerator // p ** padic_valuation(a.numerator, p)
+        den = a.denominator // p ** padic_valuation(a.denominator, p)
+        return num * pow(den, -1, p) % p
 
     def residue_field(self):
         return GF(self.p)
@@ -451,7 +453,7 @@ class QpField(_FractionFieldMixin, CoefficientField):
         return hash(("field-Qp", self.p))
 
 
-class RationalFunctionField(CoefficientField):
+class RationalFunctionField(_OperatorField):
     """Q(t) with the t-adic valuation; residue field Q."""
 
     label = "Qt"
@@ -467,50 +469,17 @@ class RationalFunctionField(CoefficientField):
             return x
         return RatFunc(Fraction(x))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     def val(self, a):
         return a.t_val()
 
     def phi(self, w):
         return RatFunc.t_power(w)
 
-    def residue(self, a):
-        v = a.t_val()
-        if v is not INF and v < 0:
-            raise ValueError("not in valuation ring")
-        if v is INF or v > 0:
-            return _F0
-        return a.unit_residue()
-
-    def initial_residue(self, a):
-        if a.is_zero():
-            raise ValueError("zero scalar has no initial residue")
+    def unit_residue(self, a):
         return a.unit_residue()
 
     def residue_field(self):
         return QQ
-
-    def scalar_str(self, a):
-        if a.den == (_F1,):
-            return _tp_str(a.num)
-        return f"({_tp_str(a.num)})/({_tp_str(a.den)})"
 
     def format_coefficient(self, a):
         num, den = a.num, a.den
@@ -534,79 +503,14 @@ class RationalFunctionField(CoefficientField):
         return hash("field-Qt")
 
 
-class PrimeField(CoefficientField):
-    """GF(p) with the trivial valuation (residue field of Qp(p))."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.label = f"GF({p})"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return a * pow(b, -1, self.p) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def val(self, a):
-        return INF if a % self.p == 0 else 0
-
-    def phi(self, w):
-        if w != 0:
-            raise ValueError("trivial valuation has value group {0}")
-        return 1
-
-    def residue(self, a):
-        return a
-
-    def initial_residue(self, a):
-        if a % self.p == 0:
-            raise ValueError("zero scalar has no initial residue")
-        return a
-
-    def residue_field(self):
-        return self
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("field-GF", self.p))
-
-
 class ModPmRing(CoefficientField):
     """Z/p^m with the truncated p-adic valuation {0,...,m-1} and infinity.
 
-    Not a field: division a/b is defined only when val(a) >= val(b), and the
-    result is exact modulo p^(m - val(b)).  That is enough for the division
-    algorithm, where every divisor either has unit leading coefficient or the
-    quotient coefficient has strictly positive valuation.
+    For m = 1 this is the prime field GF(p).  For m > 1 it is not a field:
+    division a/b is defined only when val(a) >= val(b), and the result is
+    exact modulo p^(m - val(b)).  That is enough for the division algorithm,
+    where every divisor either has unit leading coefficient or the quotient
+    coefficient has strictly positive valuation.
     """
 
     def __init__(self, p: int, m: int):
@@ -645,13 +549,13 @@ class ModPmRing(CoefficientField):
         return (-a) % self.modulus
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Z/p^m")
-        s = padic_valuation(b, self.p)
-        if s == 0:
+        if b % self.p:
             return a * pow(b, -1, self.modulus) % self.modulus
+        if b % self.modulus == 0:
+            raise ZeroDivisionError(f"division by zero in {self.label}")
         if a == 0:
             return 0
+        s = padic_valuation(b, self.p)
         if padic_valuation(a, self.p) < s:
             raise ValueError("inexact division in Z/p^m")
         unit = b // self.p**s
@@ -661,6 +565,8 @@ class ModPmRing(CoefficientField):
         return a % self.modulus == 0
 
     def val(self, a):
+        if a % self.p:
+            return 0
         a %= self.modulus
         if a == 0:
             return INF
@@ -668,17 +574,11 @@ class ModPmRing(CoefficientField):
 
     def phi(self, w):
         if w < 0 or w >= self.m:
-            raise ValueError(f"no element of valuation {w} in Z/{self.p}^{self.m}")
+            raise ValueError(f"no element of valuation {w} in {self.label}")
         return self.p**w
 
-    def residue(self, a):
-        return a % self.p
-
-    def initial_residue(self, a):
-        v = self.val(a)
-        if v is INF:
-            raise ValueError("zero scalar has no initial residue")
-        return (a // self.p**v) % self.p
+    def unit_residue(self, a):
+        return a // self.p ** padic_valuation(a, self.p) % self.p
 
     def residue_field(self):
         return GF(self.p)
@@ -690,6 +590,14 @@ class ModPmRing(CoefficientField):
 
     def __hash__(self):
         return hash(("ring-modpm", self.p, self.m))
+
+
+class PrimeField(ModPmRing):
+    """GF(p) = Z/p^1: trivially valued, the residue field of Qp(p) and Z/p^m."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
+        self.label = f"GF({p})"
 
 
 QQ = RationalField()

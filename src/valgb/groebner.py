@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 
-from .division import normal_form, support_count_ecart
+from .division import normal_form
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -28,9 +28,6 @@ from .weights import WeightedOrder, leading_term
 class GroebnerBasis:
     elements: list
     order: WeightedOrder
-    minimal: bool = False
-    reduced: bool = False
-    monic: bool = False
     stats: dict = dc_field(default_factory=dict)
 
     def leading_monomials(self) -> list[Monomial]:
@@ -100,7 +97,6 @@ def buchberger(
     order: WeightedOrder,
     *,
     use_criteria: bool = True,
-    ecart=support_count_ecart,
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = None,
     normalize=None,
@@ -165,7 +161,7 @@ def buchberger(
             counters["reductions_to_zero"] += 1
             continue
         result = normal_form(
-            s, G, order, ecart, max_steps=max_steps, max_coeff_bits=max_coeff_bits
+            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits
         )
         r = result.remainder
         if not r.is_zero():
@@ -196,28 +192,13 @@ def minimal_generators(monomials: list) -> list[Monomial]:
 
 def sort_basis(elements: list, order: WeightedOrder) -> list:
     """Canonical basis order: ascending degree, then descending leading monomial."""
-    return sorted(
+    out = sorted(
         elements,
-        key=lambda g: (
-            g.degree(),
-            _Reversed(order.tiebreak.sort_key(leading_term(g, order)[1])),
-        ),
+        key=lambda g: order.tiebreak.sort_key(leading_term(g, order)[1]),
+        reverse=True,
     )
-
-
-class _Reversed:
-    """Wraps a sort key so ascending sorting yields descending order."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return other.key == self.key
+    out.sort(key=lambda g: g.degree())
+    return out
 
 
 def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBasis:
@@ -239,12 +220,10 @@ def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBa
         target = Polynomial.term(fld, n, m, fld.one())
         r = normal_form(target, elements, order, max_steps=max_steps).remainder
         out.append(target - r)
-    return GroebnerBasis(
-        sort_basis(out, order), order, minimal=True, reduced=True, monic=True
-    )
+    return GroebnerBasis(sort_basis(out, order), order)
 
 
-def is_basis_of(gb: GroebnerBasis, generators: list, *, use_b1: bool = True,
+def is_basis_of(gb: GroebnerBasis, generators: list, *,
                 max_steps: int = 1_000_000,
                 max_coeff_bits: int | None = None) -> bool:
     """Verify the basis property over the field: all surviving S-pairs and all
@@ -263,7 +242,7 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *, use_b1: bool = True,
     for j in range(len(G)):
         for i in range(j):
             pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
-            if use_b1 and criterion_b1(pair):
+            if criterion_b1(pair):
                 continue
             s = s_polynomial(G[i], G[j], order)
             if s.is_zero():

@@ -56,6 +56,14 @@ def clear_denominators(f: Polynomial) -> Polynomial:
     return f.scale(Fraction(scale, g))
 
 
+def _field_and_nvars(F: list):
+    """The coefficient field and variable count shared by the generators F."""
+    field, nvars = F[0].field, F[0].nvars
+    if any(f.field != field or f.nvars != nvars for f in F):
+        raise ValueError("generator field/variable mismatch")
+    return field, nvars
+
+
 def _macaulay_rows(F: list, monomials: list = ()):
     """Return rows(d, columns), the coefficient rows of F's degree-d multiples.
 
@@ -63,9 +71,7 @@ def _macaulay_rows(F: list, monomials: list = ()):
     Rational generators are scaled to coprime integers once, so their rows
     are int lists with the same row space.
     """
-    field, nvars = F[0].field, F[0].nvars
-    if any(f.field != field or f.nvars != nvars for f in F):
-        raise ValueError("generator field/variable mismatch")
+    field, nvars = _field_and_nvars(F)
     if any(len(m) != nvars for m in monomials):
         raise ValueError("monomial/variable mismatch")
     rational = type(field.zero()) is Fraction
@@ -143,9 +149,7 @@ def lift_groebner(
             row = reduced[col_of[t]]
             terms = {m: c for m, c in zip(columns, row) if not field.is_zero(c)}
             out.append(Polynomial(field, nvars, terms, _clean=True))
-    return GroebnerBasis(
-        sort_basis(out, order), order, minimal=True, reduced=True, monic=True
-    )
+    return GroebnerBasis(sort_basis(out, order), order)
 
 
 def _substitute_weights(f: Polynomial, weights, p: int) -> Polynomial:
@@ -197,26 +201,25 @@ def gb_mod_pm(
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = 1_000_000,
     stats: dict | None = None,
-    warn=None,
 ) -> GroebnerBasis:
     """Reduced basis of a p-adic ideal computed through Z/p^m with lifting.
 
     On any inconsistency (singular reconstruction block or failed verification
     over Q) the modulus exponent is doubled, up to ``retry_budget`` times;
-    after that the computation falls back to the direct rational run with a
-    warning.
+    after that the computation falls back to the direct rational run.
+    ``stats`` receives p, the exponents tried (``m_values``), ``retries``
+    and ``fallback``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
         raise ValueError("need at least one nonzero generator")
-    field = F[0].field
+    field, nvars = _field_and_nvars(F)
     if not isinstance(field, QpField):
         raise ValueError("mod-p^m acceleration requires a p-adic coefficient field")
     for idx, f in enumerate(F):
         if not f.is_homogeneous():
             raise ValueError(f"generator {idx} is not homogeneous")
     p = field.p
-    nvars = F[0].nvars
     prec = order.tiebreak
     zero_w = WeightedOrder((0,) * nvars, prec)
 
@@ -229,10 +232,10 @@ def gb_mod_pm(
     if m is None:
         m = max(16, 2 * (1 + max_val))
 
-    attempts = 0
     info = {"p": p, "m_values": [], "retries": 0, "fallback": False}
-    while attempts <= retry_budget:
+    for _ in range(retry_budget + 1):
         info["m_values"].append(m)
+        info["retries"] = len(info["m_values"]) - 1
         ring = ModPmRing(p, m)
         mapped = []
         for f in substituted:
@@ -264,19 +267,11 @@ def gb_mod_pm(
                 # invariant, or runaway verification: all symptoms of a
                 # too-small modulus exponent
                 pass
-        attempts += 1
-        info["retries"] = attempts
         m *= 2
 
     info["fallback"] = True
     if stats is not None:
         stats.update(info)
-    message = (
-        f"mod-{p}^m pipeline failed verification after {retry_budget} retries; "
-        "falling back to the direct rational computation"
-    )
-    if warn is not None:
-        warn(message)
     return reduce_basis(
         buchberger(
             F,

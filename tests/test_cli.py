@@ -59,6 +59,21 @@ def test_gb_modpm(tmp_path, capsys):
     assert out == ["x", "y"]
 
 
+def test_gb_modpm_fallback_reports_once(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "fallback.vgb",
+        "field Qp(2)\nvars x,y,z\n"
+        "ideal: x^2+2*y*z+4*z^2, x*y-y^2+2*z^2, x*z+y*z+8*z^2\n",
+    )
+    assert main(["gb", path]) == 0
+    direct = capsys.readouterr().out
+    assert main(["gb", path, "--modpm", "1", "--retry-budget", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == direct
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_nf_golden(tmp_path, capsys):
     path = write(tmp_path, "division.vgb", DIVISION)
     assert main(["nf", path]) == 0

@@ -11,7 +11,7 @@ from valgb.fields import padic_valuation
 from conftest import random_scalar
 from oracles import series_valuation
 
-ALL_FIELDS = [Qp(2), Qp(3), Qp(5), QQ, Qt(), GF(2), GF(7)]
+ALL_FIELDS = [Qp(2), Qp(3), Qp(5), QQ, Qt(), GF(2), GF(7), ModPmRing(3, 1)]
 
 
 def test_infinity_absorbs():
@@ -56,11 +56,21 @@ def test_phi_examples():
     with pytest.raises(ValueError):
         QQ.phi(1)
     assert Qp(2).phi(-2) == Fraction(1, 4)
+    with pytest.raises(ValueError):
+        GF(7).phi(1)
+
+
+def test_prime_field_is_modpm_with_exponent_one():
+    for p in (2, 3, 7):
+        assert GF(p) == ModPmRing(p, 1)
+        assert hash(GF(p)) == hash(ModPmRing(p, 1))
+        assert GF(p).residue_field() is GF(p)
+        assert ModPmRing(p, 4).residue_field() is GF(p)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_phi_section_property(field):
-    values = [0] if field in (QQ, GF(2), GF(7)) else range(-3, 4)
+    values = [0] if field in (QQ, GF(2), GF(7), ModPmRing(3, 1)) else range(-3, 4)
     for w in values:
         assert field.val(field.phi(w)) == w
 
@@ -179,11 +189,13 @@ def test_modpm_valuation_laws_random():
 
 
 def test_unit_times_inverse_residue():
-    for field in (Qp(2), Qp(7), Qt(), QQ):
+    for field in (Qp(2), Qp(7), Qt(), QQ, ModPmRing(3, 1)):
         rng = random.Random(f"unit-{field.label}")
         res = field.residue_field()
         for _ in range(50):
             a = random_scalar(rng, field)
+            if field.is_zero(a):  # nonzero integers may vanish mod p
+                continue
             v = field.val(a)
             unit = field.mul(field.phi(-v), a)
             r1 = field.residue(unit)
@@ -192,12 +204,25 @@ def test_unit_times_inverse_residue():
 
 
 def test_initial_residue_is_nonzero():
-    for field in (Qp(2), Qp(3), Qt()):
+    for field in (Qp(2), Qp(3), Qt(), ModPmRing(3, 1)):
         rng = random.Random(f"init-{field.label}")
         res = field.residue_field()
         for _ in range(100):
             a = random_scalar(rng, field)
+            if field.is_zero(a):  # nonzero integers may vanish mod p
+                continue
             assert not res.is_zero(field.initial_residue(a))
+
+
+def test_modpm_residues_strip_p():
+    for r in (ModPmRing(3, 1), ModPmRing(3, 4)):
+        assert r.residue(0) == 0
+        with pytest.raises(ValueError):
+            r.initial_residue(0)
+        for a in range(1, r.modulus):
+            v = r.val(a)
+            assert r.initial_residue(a) == a // 3**v % 3 != 0
+            assert r.residue(a) == (a % 3 if v == 0 else 0)
 
 
 def test_ratfunc_canonical_forms():

@@ -248,6 +248,28 @@ def test_gb_mod_pm_agreement_random():
         assert not stats["fallback"], f"trial {trial} fell back"
 
 
+def test_gb_mod_pm_fallback_counts_retries():
+    # m = 1 and m = 2 are too small for this ideal, so both budgets fall back
+    F = polys(Qp(2), XYZ, "x^2+2*y*z+4*z^2", "x*y-y^2+2*z^2", "x*z+y*z+8*z^2")
+    direct = reduce_basis(buchberger(F, zero_order(3)))
+    for budget in (0, 1):
+        stats = {}
+        basis = gb_mod_pm(F, zero_order(3), m=1, retry_budget=budget, stats=stats)
+        assert stats["fallback"]
+        assert stats["retries"] == len(stats["m_values"]) - 1 == budget
+        assert basis.elements == direct.elements
+
+
+@pytest.mark.parametrize("other", [(QQ, XYZ, "x*y"), (Qp(2), "x,y", "x*y")])
+def test_gb_mod_pm_rejects_mixed_generators(other):
+    # bad input is reported before any modulus is tried, not after a fallback
+    stats = {}
+    F = [P(Qp(2), XYZ, "x+2y"), P(*other)]
+    with pytest.raises(ValueError, match="generator field/variable mismatch"):
+        gb_mod_pm(F, zero_order(3), stats=stats)
+    assert stats == {}
+
+
 def test_gb_mod_pm_requires_padic():
     with pytest.raises(ValueError):
         gb_mod_pm(polys(QQ, "x,y", "x+y"), zero_order(2))
