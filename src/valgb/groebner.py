@@ -113,6 +113,8 @@ def buchberger(
         normalize = monic
     G: list[Polynomial] = []
     for idx, f in enumerate(generators):
+        if f.nvars != order.nvars:
+            raise ValueError("order/variable mismatch")
         if f.is_zero():
             continue
         if not f.is_homogeneous():

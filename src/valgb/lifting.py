@@ -12,9 +12,8 @@ pipeline verifies over Q and retries with doubled m.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .division import CoefficientBlowup, StepBudgetExceeded
+from .division import CoefficientBlowup, StepBudgetExceeded, primitive_factor
 from .fields import INF, ModPmRing, QpField, padic_valuation
 from .groebner import (
     GroebnerBasis,
@@ -47,13 +46,7 @@ def clear_denominators(f: Polynomial) -> Polynomial:
         return f
     if not isinstance(next(iter(f.terms.values())), Fraction):
         raise ValueError("integer clearing needs rational coefficients")
-    scale = 1
-    for c in f.terms.values():
-        scale = lcm(scale, c.denominator)
-    g = 0
-    for c in f.terms.values():
-        g = gcd(g, int(c * scale))
-    return f.scale(Fraction(scale, g))
+    return f.scale(primitive_factor(f))
 
 
 def _field_and_nvars(F: list):
@@ -205,15 +198,20 @@ def gb_mod_pm(
     """Reduced basis of a p-adic ideal computed through Z/p^m with lifting.
 
     On any inconsistency (singular reconstruction block or failed verification
-    over Q) the modulus exponent is doubled, up to ``retry_budget`` times;
+    over Q) the modulus exponent is doubled, up to ``retry_budget`` times
+    (a negative budget raises ``ValueError``);
     after that the computation falls back to the direct rational run.
     ``stats`` receives p, the exponents tried (``m_values``), ``retries``
     and ``fallback``.
     """
+    if retry_budget < 0:
+        raise ValueError("retry budget must be nonnegative")
     F = [f for f in F if not f.is_zero()]
     if not F:
         raise ValueError("need at least one nonzero generator")
     field, nvars = _field_and_nvars(F)
+    if order.nvars != nvars:
+        raise ValueError("order/variable mismatch")
     if not isinstance(field, QpField):
         raise ValueError("mod-p^m acceleration requires a p-adic coefficient field")
     for idx, f in enumerate(F):

@@ -71,6 +71,13 @@ def random_ideal(rng, field, nvars, max_degree=3, max_gens=3, height=9):
     return gens
 
 
+def uniformizer(field):
+    """A scalar of valuation one (t or p), or 1 for trivially valued Q."""
+    if field == Qt():
+        return RatFunc((0, 1))
+    return field.coerce(getattr(field, "p", 1))
+
+
 def random_weights(rng, field, nvars, spread=2):
     if field == QQ:
         return (0,) * nvars

@@ -3,7 +3,8 @@
 Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
-the package's own division or basis machinery.
+the package's own division or basis machinery; the eager tangent-cone
+division at the end uses only the package's polynomials and leading terms.
 """
 
 from __future__ import annotations
@@ -276,3 +277,92 @@ def gauss_jordan(rows):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
         pivots.append(col)
     return m[: len(pivots)], pivots
+
+
+# -- eager division -------------------------------------------------------------
+
+
+class EagerBlowup(RuntimeError):
+    """The eager division's leading coefficient outgrew its bit budget."""
+
+
+def _eager_bits(c):
+    if isinstance(c, int):
+        return c.bit_length()
+    if hasattr(c, "numerator"):
+        return c.numerator.bit_length() + c.denominator.bit_length()
+    if hasattr(c, "num"):  # rational function
+        return max(fr.numerator.bit_length() + fr.denominator.bit_length()
+                   for part in (c.num, c.den) for fr in part)
+    return 0
+
+
+def eager_normal_form(f, divisors, order, max_coeff_bits=None):
+    """The tangent-cone division that inverts at every recorded-state step.
+
+    This is the package's earlier division loop, kept as the reference for
+    the lazy-unit one: after dividing by a recorded state with coefficient c
+    it rescales q, r and every quotient by 1/(1 - c), so the state always
+    satisfies f = sum h_i g_i + q + r.  It uses only the package's polynomial
+    and leading-term layers, with the support-count ecart.
+
+    Returns (quotients, remainder, step count, trace), where trace lists
+    (q, r, action, |T|) per step; raises EagerBlowup with the package's
+    message when max_coeff_bits is exceeded.
+    """
+    from valgb.fields import INF
+    from valgb.polynomials import Polynomial, mono_div, mono_divides
+    from valgb.weights import leading_term
+
+    fld, n = f.field, f.nvars
+    # entries: [poly, lm, lc, support, original index, h snapshot, r snapshot]
+    T = []
+    for i, g in enumerate(divisors):
+        _, lm, lc = leading_term(g, order)
+        T.append((g, lm, lc, frozenset(g.terms), i, None, None))
+    h = [Polynomial.zero(fld, n) for _ in divisors]
+    r = Polynomial.zero(fld, n)
+    q = f
+    steps = 0
+    log = []
+    while not q.is_zero():
+        q_start, r_start = q, r
+        _, lmq, lcq = leading_term(q, order)
+        if max_coeff_bits is not None and _eager_bits(lcq) > max_coeff_bits:
+            raise EagerBlowup(
+                f"leading coefficient exceeded {max_coeff_bits} bits after {steps} steps"
+            )
+        best, best_key = None, None
+        for idx, entry in enumerate(T):
+            if not mono_divides(entry[1], lmq):
+                continue
+            key = (len(entry[3] - q.terms.keys()), 0 if entry[4] is not None else 1, idx)
+            if best_key is None or key < best_key:
+                best, best_key = entry, key
+        state = (q, lmq, lcq, frozenset(q.terms), None, list(h), r)
+        if best is None:
+            T.append(state)
+            lead = Polynomial.term(fld, n, lmq, lcq)
+            r, q = r + lead, q - lead
+            action = "remainder"
+        else:
+            if best_key[0] > 0:
+                T.append(state)
+            poly, lm, lc, _, i, snap_h, snap_r = best
+            xv = mono_div(lmq, lm)
+            c = fld.div(lcq, lc)
+            if i is not None:
+                q = q - poly.mono_mul(xv, c)
+                h[i] = h[i] + Polynomial.term(fld, n, xv, c)
+                action = "divide"
+            else:
+                v = fld.val(c)
+                assert not any(xv) and v is not INF and v > 0
+                inv = fld.inv(fld.sub(fld.one(), c))
+                q = (q - poly.scale(c)).scale(inv)
+                h = [(a - b.scale(c)).scale(inv) for a, b in zip(h, snap_h)]
+                r = (r - snap_r.scale(c)).scale(inv)
+                action = "divide-recorded"
+        log.append((q_start, r_start, action, len(T)))
+        steps += 1
+    return h, r, steps, log

@@ -74,6 +74,19 @@ def test_gb_modpm_fallback_reports_once(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_gb_modpm_negative_retry_budget_is_input_error(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "pair.vgb",
+        "field Qp(2)\nvars x,y\nideal: x+2y, y+2x\n",
+    )
+    assert main(["gb", path, "--modpm", "8", "--retry-budget", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "failed verification" not in captured.err
+
+
 def test_nf_golden(tmp_path, capsys):
     path = write(tmp_path, "division.vgb", DIVISION)
     assert main(["nf", path]) == 0

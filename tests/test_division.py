@@ -22,7 +22,16 @@ from valgb.division import CoefficientBlowup, StepBudgetExceeded
 from valgb.weights import GREATER, LESS
 from valgb.polynomials import mono_divides
 
-from conftest import P, polys, random_homogeneous, random_ideal, random_weights, zero_order
+from conftest import (
+    P,
+    polys,
+    random_homogeneous,
+    random_ideal,
+    random_weights,
+    uniformizer,
+    zero_order,
+)
+from oracles import EagerBlowup, eager_normal_form
 
 XYZ = "x,y,z"
 WORKED_ORDER = WeightedOrder((3, 2, 1), TermOrder("lex", (2, 1, 0)))  # x < y < z
@@ -110,6 +119,11 @@ def test_rejects_bad_inputs():
         normal_form(ok, [inh], order)
     with pytest.raises(ValueError):
         normal_form(ok, [Polynomial.zero(f2, 2)], order)
+    # a weight vector shorter than the variable count is not truncated
+    with pytest.raises(ValueError, match="order/variable mismatch"):
+        normal_form(ok, [ok], WeightedOrder((0,), GREVLEX))
+    with pytest.raises(ValueError, match="order/variable mismatch"):
+        normal_form(P(f2, XYZ, "x"), [], WeightedOrder((1, 2), GREVLEX))
 
 
 @pytest.mark.parametrize("field", [Qp(2), Qp(3), QQ, Qt()])
@@ -212,12 +226,80 @@ def test_step_budget_breaker():
         normal_form(x, G, zero_order(3), max_steps=2)
 
 
-def test_coefficient_blowup_breaker():
+def test_coefficient_blowup_breaker(monkeypatch):
     f2 = Qp(2)
     f = P(f2, XYZ, "x^2+y^2+z^2")
     g = P(f2, XYZ, "y+65536z")
     with pytest.raises(CoefficientBlowup):
         normal_form(f, [g], WORKED_ORDER, max_coeff_bits=8)
+    # the 65-bit leading coefficient of step 5 follows a divide-recorded step,
+    # so the loop's unit u is not 1 when the breaker reads lc(q)/u
+    with pytest.raises(EagerBlowup) as eager:
+        eager_normal_form(f, [g], WORKED_ORDER, max_coeff_bits=40)
+    _, _, _, log = eager_normal_form(f, [g], WORKED_ORDER)
+    assert [action for _, _, action, _ in log[:5]].count("divide-recorded") == 1
+    with pytest.raises(CoefficientBlowup) as lazy:
+        normal_form(f, [g], WORKED_ORDER, max_coeff_bits=40)
+    assert str(lazy.value) == str(eager.value)
+    assert str(lazy.value) == "leading coefficient exceeded 40 bits after 5 steps"
+    # no recorded-state step inverts: on the worked example u is divided out
+    # once, at the end, and the quotients reuse that inverse
+    calls = []
+    inv = f2.inv
+    monkeypatch.setattr(f2, "inv", lambda a: calls.append(a) or inv(a))
+    worked = normal_form(f, [P(f2, XYZ, "y+16z")], WORKED_ORDER)
+    assert worked.remainder == P(f2, XYZ, "x^2+257z^2")
+    assert worked.quotients[0] == P(f2, XYZ, "y-16z")
+    assert len(calls) <= 1
+
+
+LAZY_FIELDS = [Qp(2), Qp(3), QQ, Qt(), ModPmRing(3, 7)]
+
+
+def tangent_cone_case(rng, field):
+    """Divisors with one term of low valuation and the rest pushed up by
+    powers of the uniformizer, so the division often divides by its own
+    recorded states."""
+    t = uniformizer(field)
+    G = []
+    for _ in range(rng.randint(2, 3)):
+        g = random_homogeneous(rng, field, 3, rng.randint(1, 2), max_terms=3)
+        keep = rng.choice(list(g.terms))
+        terms = dict(g.terms)
+        for m in terms:
+            for _ in range(0 if m == keep else rng.randint(0, 2)):
+                terms[m] = field.mul(terms[m], t)
+        G.append(Polynomial(field, 3, terms))
+    f = random_homogeneous(rng, field, 3, rng.randint(1, 3))
+    weights = (0, 0, 0) if field == QQ else tuple(rng.randint(-1, 1) for _ in range(3))
+    return f, G, WeightedOrder(weights, GREVLEX)
+
+
+@pytest.mark.parametrize("field", LAZY_FIELDS, ids=lambda field: field.label)
+def test_lazy_division_matches_eager_oracle(field):
+    rng = random.Random(f"lazy-unit-{field.label}")
+    bits = 2000
+    recorded = 0
+    for trial in range(40):
+        f, G, order = tangent_cone_case(rng, field)
+        try:
+            h, r, steps, log = eager_normal_form(f, G, order, max_coeff_bits=bits)
+        except (ValueError, EagerBlowup) as exc:
+            # inexact division in Z/p^m, or the breaker: same kind, same message
+            kind = ValueError if isinstance(exc, ValueError) else CoefficientBlowup
+            with pytest.raises(kind) as info:
+                normal_form(f, G, order, max_coeff_bits=bits)
+            assert str(info.value) == str(exc), f"trial {trial}"
+            continue
+        res = normal_form(f, G, order, max_coeff_bits=bits)
+        assert res.remainder == r, f"trial {trial}"
+        assert res.quotients == h, f"trial {trial}"
+        assert res.step_count == steps, f"trial {trial}"
+        traced = normal_form(f, G, order, max_coeff_bits=bits, trace=True)
+        assert [(s.q, s.r, s.action, s.t_size) for s in traced.trace] == log, f"trial {trial}"
+        recorded += sum(action == "divide-recorded" for _, _, action, _ in log)
+    # trivially valued Q never divides by a recorded state
+    assert recorded > 0 or field == QQ
 
 
 def test_custom_ecart_still_divides():

@@ -112,6 +112,13 @@ def test_rejects_inhomogeneous_and_empty():
         buchberger([Polynomial.zero(QQ, 2)], zero_order(2))
 
 
+def test_rejects_short_weight_vector():
+    # the weights would silently cover only x and y of three variables
+    F = polys(Qp(2), "x,y,z", "x*y+2z^2", "y*z-4x^2", "x*z+y^2")
+    with pytest.raises(ValueError, match="order/variable mismatch"):
+        buchberger(F, WeightedOrder((1, 2), GREVLEX))
+
+
 def test_zero_generators_filtered_and_deduped():
     f2 = Qp(2)
     f = P(f2, "x,y", "x+2y")

@@ -270,6 +270,23 @@ def test_gb_mod_pm_rejects_mixed_generators(other):
     assert stats == {}
 
 
+def test_gb_mod_pm_rejects_order_mismatch():
+    stats = {}
+    F = polys(Qp(2), XYZ, "x*y+2z^2", "y*z-4x^2", "x*z+y^2")
+    with pytest.raises(ValueError, match="order/variable mismatch"):
+        gb_mod_pm(F, WeightedOrder((1, 2), GREVLEX), stats=stats)
+    assert stats == {}
+
+
+def test_gb_mod_pm_rejects_negative_retry_budget():
+    # no modulus is tried, so there is no fallback to report
+    stats = {}
+    F = polys(Qp(2), "x,y", "x+2y", "y+2x")
+    with pytest.raises(ValueError, match="retry budget"):
+        gb_mod_pm(F, zero_order(2), m=8, retry_budget=-3, stats=stats)
+    assert stats == {}
+
+
 def test_gb_mod_pm_requires_padic():
     with pytest.raises(ValueError):
         gb_mod_pm(polys(QQ, "x,y", "x+y"), zero_order(2))
