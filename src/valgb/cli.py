@@ -50,14 +50,16 @@ def _cmd_gb(args) -> int:
         if not isinstance(problem.field, QpField):
             raise ParseError("--modpm requires a Qp(p) field", 1, 1)
         stats: dict = {}
+        if args.max_coeff_bits is None:
+            del limits["max_coeff_bits"]  # keep gb_mod_pm's own default
         basis = gb_mod_pm(
             problem.generators,
             order,
             m=args.modpm,
             retry_budget=args.retry_budget,
             use_criteria=not args.no_criteria,
-            max_steps=args.max_steps,
             stats=stats,
+            **limits,
         )
         if stats["fallback"]:
             print(f"warning: mod-{stats['p']}^m pipeline failed verification after "

@@ -14,18 +14,31 @@ with
 
     u*f = sum h_i g_i + q + r,
 
-where q is still to be divided and r is the remainder so far.  Dividing by a
-recorded state (u_k, q_k, r_k, h_k) with lambda = lc(q)/lc(q_k) subtracts
-lambda times that state from all four parts, so u <- u - lambda*u_k and no
-scalar is inverted; u stays a unit because lambda*u_k/u has positive
-valuation.  After such a step the whole state is rescaled by one scalar:
+where q is still to be divided and r is the remainder so far.  The identity
+is homogeneous in (u, q, r, h), so the state only matters up to a common
+scalar, and every step is one fraction-free combination of two states.  To
+cancel the leading coefficient a of q against a divisor whose leading
+coefficient is c, the loop sets
 
-* over Q and Qp so that q is a primitive integer polynomial, which keeps
-  the coefficients small;
-* over Z/p^m back to u = 1, because division by a non-unit there is exact
-  only modulo a smaller power of p, so the next quotient coefficient has to
-  be taken from the state with u = 1 to be the same;
-* over Q(t) not at all.
+    state <- alpha*state - beta*x^v*(divisor's state).
+
+An original divisor g_i has the state (0, g_i, 0, -e_i) of 0 = -g_i + g_i; a
+recorded partial state (u_k, q_k, r_k, h_k) is subtracted whole, so
+u <- alpha*u - beta*u_k and no scalar is inverted (u stays a unit because
+beta*u_k/(alpha*u) has positive valuation).  The scalars and the upkeep
+depend on the domain:
+
+* over Q and Qp the dividend and the divisors are made primitive integer
+  polynomials once, and the whole state (u, q, r) is held in integers:
+  alpha = c/d and beta = a/d with d = gcd(a, c), and after each step the
+  state is divided by its joint content, the gcd of u and of every
+  coefficient of q and r, so a step does no Fraction arithmetic (only the
+  trace and a breaker test near its budget build one);
+* over Z/p^m, alpha = 1 and beta = a/c, and after a recorded-state step the
+  state is rescaled back to u = 1, because division by a non-unit there is
+  exact only modulo a smaller power of p, so the next quotient coefficient
+  has to be taken from the state with u = 1 to be the same;
+* over Q(t), alpha = 1 and beta = a/c, with no rescaling.
 
 The state is thus always a scalar multiple of the one a division that
 inverts 1 - lambda*u_k/u at every recorded step would hold, and the steps,
@@ -43,8 +56,8 @@ from functools import cached_property, partial
 from math import gcd, lcm
 
 from .fields import INF, ModPmRing, QpField, RationalField
-from .polynomials import Monomial, Polynomial, mono_div, mono_divides, poly_to_str
-from .weights import WeightedOrder, leading_term
+from .polynomials import Monomial, Polynomial, mono_div, mono_divides, mono_mul, poly_to_str
+from .weights import WeightedOrder, _leading, leading_term
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -104,15 +117,18 @@ class DivisionResult:
 
 @dataclass
 class _Divisor:
-    poly: Polynomial
+    """An entry of T in the loop's scalars (integers over Q and Qp)."""
+
+    terms: dict
     lm: Monomial
     lc: object
     supp: frozenset
     orig_index: int | None = None
     # a recorded state: its number, and its r and u
     state: int | None = None
-    r: Polynomial | None = None
+    r: dict | None = None
     u: object = None
+    poly: Polynomial | None = None  # what a custom ecart sees
 
 
 def _coeff_bits(c) -> int:
@@ -135,39 +151,62 @@ def primitive_factor(f: Polynomial) -> Fraction:
     return Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
 
 
-def _rescaling(fld):
-    """The factor rescale(q, u) applied to the state after a recorded-state
-    step, or None."""
-    if isinstance(fld, (RationalField, QpField)):
-        return lambda q, u: primitive_factor(q)
-    if isinstance(fld, ModPmRing):
-        return lambda q, u: fld.inv(u)
-    return None
+def _integer_terms(f: Polynomial) -> tuple:
+    """(s*f as an integer term dict, s) for s = primitive_factor(f), memoized
+    on the (immutable) polynomial."""
+    cached = f._cache.get("integer-terms")
+    if cached is None:
+        s = primitive_factor(f)
+        L, G = s.numerator, s.denominator
+        terms = {m: c.numerator * L // (c.denominator * G) for m, c in f.terms.items()}
+        cached = f._cache["integer-terms"] = (terms, s)
+    return cached
 
 
-def _replay_quotients(fld, n: int, s: int, record: list, inv_u) -> list:
+def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
+    """The term dict alpha*A - beta*x^xv*B, reduced mod ``mod`` unless that
+    is None; alpha and xv None stand for 1."""
+    out = dict(A) if alpha is None else {m: alpha * c for m, c in A.items()}
+    for m, c in B.items():
+        if xv is not None:
+            m = mono_mul(m, xv)
+        c = beta * c
+        cur = out.get(m)
+        c = -c if cur is None else cur - c
+        if mod is not None:
+            c %= mod
+        if c:
+            out[m] = c
+        elif cur is not None:
+            del out[m]
+    return out
+
+
+def _replay_quotients(fld, n: int, factors: list, record: list) -> list:
     """The quotients h_i of f, rebuilt from the loop's step record.
 
     Record entries: None when the current state joins the recorded states;
-    (i, xv, lam) for h_i += lam*x^xv; (~k, lam, scale) for
-    h = scale*(h - lam*h_k) against recorded state k (scale may be None).
+    (k, xv, alpha, beta, scale) for h <- scale*(alpha*h + beta*x^xv*e_k)
+    against original divisor k >= 0, or h <- scale*(alpha*h - beta*h_~k)
+    against recorded state ~k, where alpha and scale None stand for 1.
+    Finally h_i is multiplied by factors[i] (None stands for 1).
     """
-    h = [Polynomial.zero(fld, n)] * s
+    h = [Polynomial.zero(fld, n)] * len(factors)
     states = []
     for entry in record:
         if entry is None:
             states.append(list(h))
-        elif entry[0] >= 0:
-            i, xv, lam = entry
-            h[i] = h[i] + Polynomial.term(fld, n, xv, lam)
+            continue
+        k, xv, alpha, beta, scale = entry
+        if alpha is not None:
+            h = [a.scale(alpha) for a in h]
+        if k >= 0:
+            h[k] = h[k] + Polynomial.term(fld, n, xv, beta)
         else:
-            k, lam, scale = entry
-            h = [a - b.scale(lam) for a, b in zip(h, states[~k])]
-            if scale is not None:
-                h = [a.scale(scale) for a in h]
-    if inv_u is not None:
-        h = [a.scale(inv_u) for a in h]
-    return h
+            h = [a - b.scale(beta) for a, b in zip(h, states[~k])]
+        if scale is not None:
+            h = [a.scale(scale) for a in h]
+    return [a if c is None else a.scale(c) for a, c in zip(h, factors)]
 
 
 def normal_form(
@@ -186,11 +225,11 @@ def normal_form(
     f = sum h_i g_i + r and no term of r divisible by any leading monomial
     of the divisors.  Each h_i g_i and r rank no lower than f itself.
 
-    Internally the loop holds u*f = sum h_i g_i + q + r for a scalar unit u
-    (see the module docstring) and divides by u once at the end; the trace
-    reports q/u and r/u, and the breaker tests the bits of lc(q)/u.  The
-    quotients are built when ``quotients`` is first read.  A custom ``ecart``
-    sees q up to that scalar, so it should depend on supports only.
+    Internally the loop holds u*f = sum h_i g_i + q + r up to a common
+    scalar (see the module docstring) and divides by u once at the end; the
+    trace reports q/u and r/u, and the breaker tests the bits of lc(q)/u.
+    The quotients are built when ``quotients`` is first read.  A custom
+    ``ecart`` sees q up to a scalar, so it should depend on supports only.
     """
     fld = f.field
     n = f.nvars
@@ -198,7 +237,13 @@ def normal_form(
         raise ValueError("dividend must be homogeneous")
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
+    integral = isinstance(fld, (RationalField, QpField))
+    default_ecart = ecart is support_count_ecart
+
+    # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
+    in_loop_scalars = _integer_terms if integral else lambda g: (g.terms, None)
     T: list[_Divisor] = []
+    factors = []
     for i, g in enumerate(divisors):
         if g.field != fld or g.nvars != n:
             raise ValueError("divisor field/variable mismatch")
@@ -206,37 +251,96 @@ def normal_form(
             raise ValueError(f"divisor {i} is zero")
         if not g.is_homogeneous():
             raise ValueError(f"divisor {i} is not homogeneous")
-        _, lm, lc = leading_term(g, order)
-        T.append(_Divisor(g, lm, lc, frozenset(g.terms), i))
+        _, lm, _ = leading_term(g, order)
+        terms, s = in_loop_scalars(g)
+        T.append(_Divisor(terms, lm, terms[lm], frozenset(terms), i, poly=g))
+        factors.append(s)
 
     one = fld.one()
-    rescale = _rescaling(fld)
-    u = one
-    q = f
-    r = Polynomial.zero(fld, n)
+    mod = fld.modulus if isinstance(fld, ModPmRing) else None
+    val = fld.val
+    if integral:
+        # the state is held for the dividend s_f*f, so the unit is U*s_f
+        Q, s_f = in_loop_scalars(f) if f.terms else ({}, Fraction(1))
+        U = 1
+
+        def ratio(a, c):
+            d = gcd(a, c)
+            if c < 0:
+                d = -d
+            alpha = c // d
+            return (None if alpha == 1 else alpha), a // d
+
+        def normalize(U, Q, R):
+            g = gcd(*Q.values(), U, *R.values())
+            if g == 1:
+                return U, Q, R, None
+            return (U // g, {m: c // g for m, c in Q.items()},
+                    {m: c // g for m, c in R.items()}, Fraction(1, g))
+
+        def inverse_unit(U):
+            return Fraction(s_f.denominator, U * s_f.numerator)
+
+        def blown(a, U):
+            num, den = a * s_f.denominator, U * s_f.numerator
+            # reducing num/den only shrinks it: skip the gcd when in budget
+            return (num.bit_length() + den.bit_length() > max_coeff_bits
+                    and _coeff_bits(Fraction(num, den)) > max_coeff_bits)
+
+        def unscaled(terms, inv_u):
+            return Polynomial(fld, n, {m: inv_u * c for m, c in terms.items()}, _clean=True)
+    else:
+        Q = f.terms
+        U = one
+
+        def ratio(a, c):
+            return None, fld.div(a, c)
+
+        def normalize(U, Q, R):
+            if mod is None or U == one:
+                return U, Q, R, None
+            inv = fld.inv(U)
+            return (one, {m: c * inv % mod for m, c in Q.items()},
+                    {m: c * inv % mod for m, c in R.items()}, inv)
+
+        def inverse_unit(U):
+            return None if U == one else fld.inv(U)
+
+        def blown(a, U):
+            return _coeff_bits(fld.div(a, U)) > max_coeff_bits
+
+        def unscaled(terms, inv_u):
+            if inv_u is None:
+                return Polynomial(fld, n, terms, _clean=True)
+            return Polynomial(fld, n, {m: fld.mul(c, inv_u) for m, c in terms.items()},
+                              _clean=True)
+
+    def as_poly(terms):
+        return unscaled(terms, Fraction(1) if integral else None)
+
+    R: dict = {}
     record: list = []  # read by _replay_quotients
     steps = 0
     trace_log: list[TraceStep] | None = [] if trace else None
-    default_ecart = ecart is support_count_ecart
-
-    def unscaled(p: Polynomial) -> Polynomial:
-        return p if u == one else p.map_coefficients(lambda c: fld.div(c, u))
 
     def record_state():
-        state = len(T) - len(divisors)
-        T.append(_Divisor(q, lmq, lcq, frozenset(q.terms), None, state, r, u))
+        poly = None if default_ecart else as_poly(Q)
+        T.append(_Divisor(Q, lm, a, frozenset(Q), None, len(T) - len(divisors), R, U,
+                          poly=poly))
         record.append(None)
 
-    while not q.is_zero():
+    while Q:
         if steps >= max_steps:
             raise StepBudgetExceeded(
                 f"division did not finish within {max_steps} steps; "
                 "the supplied ecart function may not guarantee termination"
             )
         if trace_log is not None:
-            q_start, r_start = unscaled(q), unscaled(r)
-        _, lmq, lcq = leading_term(q, order)
-        if max_coeff_bits is not None and _coeff_bits(fld.div(lcq, u)) > max_coeff_bits:
+            inv_u = inverse_unit(U)
+            q_start, r_start = unscaled(Q, inv_u), unscaled(R, inv_u)
+        _, lm = _leading(Q, fld, order)
+        a = Q[lm]
+        if max_coeff_bits is not None and blown(a, U):
             raise CoefficientBlowup(
                 f"leading coefficient exceeded {max_coeff_bits} bits after {steps} steps"
             )
@@ -245,14 +349,15 @@ def normal_form(
         # win ties, then earliest insertion
         best = None
         best_key = None
-        q_supp = q.terms.keys()
+        q_supp = Q.keys()
+        q_poly = None if default_ecart else as_poly(Q)
         for idx, entry in enumerate(T):
-            if not mono_divides(entry.lm, lmq):
+            if not mono_divides(entry.lm, lm):
                 continue
             if default_ecart:
                 e_val = len(entry.supp - q_supp)
             else:
-                e_val = ecart(q, entry.poly)
+                e_val = ecart(q_poly, entry.poly)
             key = (e_val, 0 if entry.orig_index is not None else 1, idx)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
@@ -260,52 +365,58 @@ def normal_form(
         if best is None:
             # move the leading term to the remainder; the current state joins T
             record_state()
-            lead = Polynomial.term(fld, n, lmq, lcq)
-            r = r + lead
-            q = q - lead
+            R = dict(R)
+            R[lm] = a
+            Q = dict(Q)
+            del Q[lm]
             action, dlabel = "remainder", "-"
         else:
             if best_key[0] > 0:
                 record_state()
-            xv = mono_div(lmq, best.lm)
-            lam = fld.div(lcq, best.lc)
+            alpha, beta = ratio(a, best.lc)
+            xv = mono_div(lm, best.lm)
             if best.orig_index is not None:
-                i = best.orig_index
-                q = q - best.poly.mono_mul(xv, lam)
-                record.append((i, xv, lam))
-                action, dlabel = "divide", f"g{i + 1}"
+                k = best.orig_index
+                Q = _combine(alpha, Q, beta, best.terms, xv if any(xv) else None, mod)
+                if alpha is not None:
+                    U = alpha * U
+                    R = {m: alpha * c for m, c in R.items()}
+                action, dlabel = "divide", f"g{k + 1}"
             else:
                 # dividing by a recorded partial state: same degree forces xv = 1
                 if any(xv):
                     raise AssertionError("recorded-state divisor with nontrivial cofactor")
-                # the quotient coefficient of the u = 1 division is lam*u_k/u
-                v = fld.val(lam)
+                # the quotient coefficient of the u = 1 division is
+                # (beta/alpha)*u_k/u
+                v = val(beta)
                 if v is not INF:
-                    v += fld.val(best.u) - fld.val(u)
+                    v += val(best.u) - val(U) - (0 if alpha is None else val(alpha))
                 if not (v is not INF and v > 0):
                     raise AssertionError(
                         "quotient coefficient against a recorded state must have positive valuation"
                     )
-                q = q - best.poly.scale(lam)
-                r = r - best.r.scale(lam)
-                u = fld.sub(u, fld.mul(lam, best.u))
-                scale = None
-                if rescale is not None and not q.is_zero():
-                    scale = rescale(q, u)
-                    if scale == one:
-                        scale = None
-                    else:
-                        q, r, u = q.scale(scale), r.scale(scale), fld.mul(u, scale)
-                record.append((~best.state, lam, scale))
+                k = ~best.state
+                U = (U if alpha is None else alpha * U) - beta * best.u
+                if mod is not None:
+                    U %= mod
+                Q = _combine(alpha, Q, beta, best.terms, None, mod)
+                R = _combine(alpha, R, beta, best.r, None, mod)
                 action, dlabel = "divide-recorded", "q"
+            scale = None
+            if Q:
+                U, Q, R, scale = normalize(U, Q, R)
+            record.append((k, xv, alpha, beta, scale))
         if trace_log is not None:
             trace_log.append(
-                TraceStep(steps, q_start, r_start, action, dlabel, lmq, len(T))
+                TraceStep(steps, q_start, r_start, action, dlabel, lm, len(T))
             )
         steps += 1
 
-    inv_u = None if u == one else fld.inv(u)
-    if inv_u is not None:
-        r = r.scale(inv_u)
-    replay = partial(_replay_quotients, fld, n, len(divisors), record, inv_u)
+    inv_u = inverse_unit(U)
+    r = unscaled(R, inv_u)
+    if integral:
+        factors = [s * inv_u for s in factors]
+    else:
+        factors = [inv_u] * len(divisors)
+    replay = partial(_replay_quotients, fld, n, factors, record)
     return DivisionResult(r, steps, trace_log, replay)

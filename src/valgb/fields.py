@@ -76,6 +76,8 @@ def padic_valuation(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1  # the lowest set bit
     n = abs(n)
     v = 0
     while n % p == 0:

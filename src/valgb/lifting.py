@@ -200,7 +200,10 @@ def gb_mod_pm(
     On any inconsistency (singular reconstruction block or failed verification
     over Q) the modulus exponent is doubled, up to ``retry_budget`` times
     (a negative budget raises ``ValueError``);
-    after that the computation falls back to the direct rational run.
+    after that the computation falls back to the direct rational run.  The
+    verification is exact, so in it only ``StepBudgetExceeded`` and
+    ``CoefficientBlowup`` count as a failed attempt; anything else it raises
+    propagates.
     ``stats`` receives p, the exponents tried (``m_values``), ``retries``
     and ``fallback``.
     """
@@ -241,6 +244,7 @@ def gb_mod_pm(
             g = _strip_p_content(ring, g)
             if not g.is_zero():
                 mapped.append(g)
+        lifted = None
         if mapped:
             try:
                 modular = buchberger(
@@ -252,19 +256,26 @@ def gb_mod_pm(
                 )
                 claimed = minimal_generators(modular.leading_monomials())
                 lifted = lift_groebner(F, order, claimed)
-                if is_basis_of(
-                    lifted, F, max_steps=max_steps, max_coeff_bits=max_coeff_bits
-                ):
-                    info["final_m"] = m
-                    if stats is not None:
-                        stats.update(info)
-                    return lifted
             except (ValueError, AssertionError, ZeroDivisionError,
                     StepBudgetExceeded, CoefficientBlowup):
-                # singular lift block, inexact division, violated progress
-                # invariant, or runaway verification: all symptoms of a
-                # too-small modulus exponent
+                # singular lift block, inexact division or violated progress
+                # invariant mod p^m: symptoms of a too-small modulus exponent
                 pass
+        if lifted is not None:
+            # the verification is exact rational arithmetic that does not
+            # depend on m, so only an exhausted budget counts as a failed
+            # attempt; any other exception there is a fault and propagates
+            try:
+                verified = is_basis_of(
+                    lifted, F, max_steps=max_steps, max_coeff_bits=max_coeff_bits
+                )
+            except (StepBudgetExceeded, CoefficientBlowup):
+                verified = False
+            if verified:
+                info["final_m"] = m
+                if stats is not None:
+                    stats.update(info)
+                return lifted
         m *= 2
 
     info["fallback"] = True

@@ -8,6 +8,7 @@ returns a fresh object and per-order leading data is memoized on instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Iterator
 
 from .fields import CoefficientField
@@ -30,20 +31,20 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise a - b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ tiebreak-largest monomial of the initial form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-from .fields import ExtInt
+from .fields import ExtInt, RationalField
 from .polynomials import GREVLEX, Monomial, Polynomial, TermOrder
 
 LESS = -1
@@ -20,13 +20,19 @@ GREATER = 1
 
 @dataclass(frozen=True)
 class WeightedOrder:
-    """A weight vector plus a classical term order for breaking ties."""
+    """A weight vector plus a classical term order for breaking ties.
+
+    ``_ranks`` caches (w.m, tiebreak sort key) per monomial; it takes no part
+    in equality or hashing.
+    """
 
     weights: tuple
     tiebreak: TermOrder = GREVLEX
+    _ranks: dict = dc_field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "_ranks", _RankTable(self.weights, self.tiebreak))
 
     @property
     def nvars(self) -> int:
@@ -35,6 +41,40 @@ class WeightedOrder:
 
 def weight_dot(weights, mono: Monomial) -> int:
     return sum(w * e for w, e in zip(weights, mono))
+
+
+class _RankTable(dict):
+    """Monomial -> (w.m, tiebreak sort key), filled on first lookup."""
+
+    __slots__ = ("weights", "sort_key")
+
+    def __init__(self, weights, tiebreak: TermOrder):
+        super().__init__()
+        self.weights = weights
+        self.sort_key = tiebreak.sort_key
+
+    def __missing__(self, m):
+        rank = self[m] = (weight_dot(self.weights, m), self.sort_key(m))
+        return rank
+
+
+def _leading(terms: dict, fld, order: WeightedOrder):
+    """(W, lm) of a nonempty term dict over fld: the least val(c) + w.m, ties
+    going to the largest tiebreak key.
+
+    This is the leading-term scan of both ``leading_term`` and the division
+    loop, which keeps its running polynomial as a bare term dict (of integers
+    over Q and Qp, which ``fld.val`` reads as well).
+    """
+    val = None if isinstance(fld, RationalField) else fld.val  # None: trivial
+    ranks = order._ranks
+    best_w = best_m = best_key = None
+    for m, c in terms.items():
+        wm, key = ranks[m]
+        k = wm if val is None else val(c) + wm
+        if best_m is None or k < best_w or (k == best_w and key > best_key):
+            best_w, best_m, best_key = k, m, key
+    return best_w, best_m
 
 
 def trop_weight(f: Polynomial, weights) -> ExtInt:
@@ -55,20 +95,7 @@ def leading_term(f: Polynomial, order: WeightedOrder):
     cached = f._cache.get(order)
     if cached is not None:
         return cached
-    val = f.field.val
-    weights = order.weights
-    sort_key = order.tiebreak.sort_key
-    best_w = None
-    best_m = None
-    best_key = None
-    for m, c in f.terms.items():
-        k = val(c) + weight_dot(weights, m)
-        if best_w is None or k < best_w:
-            best_w, best_m, best_key = k, m, sort_key(m)
-        elif k == best_w:
-            sk = sort_key(m)
-            if sk > best_key:
-                best_m, best_key = m, sk
+    best_w, best_m = _leading(f.terms, f.field, order)
     result = (best_w, best_m, f.terms[best_m])
     f._cache[order] = result
     return result

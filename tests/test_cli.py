@@ -74,6 +74,28 @@ def test_gb_modpm_fallback_reports_once(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+# ROADMAP W1: one of its normal forms takes 85 steps over Qp(2)
+W1 = (
+    "field Qp(2)\nvars x,y,z\norder grevlex\nweight -1,0,-2\n"
+    "ideal: -8x^2*y-4x*y*z-y^2*z, -3y^3+6x^2*z-6x*y*z+2z^3, 5x*y-6x*z-8y*z+3z^2\n"
+)
+
+
+def test_gb_modpm_honours_max_coeff_bits(tmp_path, capsys):
+    path = write(tmp_path, "w1.vgb", W1)
+    assert main(["gb", path, "--max-coeff-bits", "50"]) == 2
+    direct = capsys.readouterr()
+    assert "leading coefficient exceeded 50 bits after 13 steps" in direct.err
+    # the breaker reaches the verification and then the fallback run
+    assert main(["gb", path, "--modpm", "16", "--max-coeff-bits", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == direct.err
+    # without the option gb_mod_pm keeps its own default budget
+    assert main(["gb", path, "--modpm", "16"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
 def test_gb_modpm_negative_retry_budget_is_input_error(tmp_path, capsys):
     path = write(
         tmp_path,

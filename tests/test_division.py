@@ -1,6 +1,7 @@
 """Division algorithm: golden walkthrough, termination, certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -300,6 +301,84 @@ def test_lazy_division_matches_eager_oracle(field):
         recorded += sum(action == "divide-recorded" for _, _, action, _ in log)
     # trivially valued Q never divides by a recorded state
     assert recorded > 0 or field == QQ
+
+
+@pytest.mark.parametrize("field", LAZY_FIELDS, ids=lambda field: field.label)
+def test_breaker_at_the_exact_bit_count_matches_eager_oracle(field):
+    # the breaker skips reducing lc(q)/u when the unreduced bits are already
+    # within budget; budgets k - 1 and k around each new peak k of the
+    # oracle's reduced bits must still trip where the oracle trips
+    from oracles import _eager_bits
+
+    rng = random.Random(f"breaker-edge-{field.label}")
+    tried = 0
+    for trial in range(15):
+        f, G, order = tangent_cone_case(rng, field)
+        try:
+            _, _, _, log = eager_normal_form(f, G, order)
+        except ValueError:
+            continue  # inexact division in Z/p^m
+        peak = -1
+        for q, _, _, _ in log:
+            k = _eager_bits(leading_term(q, order)[2])
+            if k <= peak:
+                continue
+            peak = k
+            for budget in (k - 1, k):
+                try:
+                    eager_normal_form(f, G, order, max_coeff_bits=budget)
+                    expected = None
+                except EagerBlowup as exc:
+                    expected = str(exc)
+                try:
+                    normal_form(f, G, order, max_coeff_bits=budget)
+                    got = None
+                except CoefficientBlowup as exc:
+                    got = str(exc)
+                assert got == expected, f"trial {trial}, budget {budget}"
+                tried += expected is not None
+    assert tried > 0
+
+
+def test_w1_normal_form_does_no_field_arithmetic_per_step(monkeypatch):
+    # ROADMAP W1: its longest normal form takes 85 steps over Qp(2); over Q
+    # and Qp the loop runs on integers, so no field operation is per step
+    import valgb.groebner as groebner
+    from valgb import buchberger
+
+    f2 = Qp(2)
+    gens = polys(
+        f2, XYZ, "-8x^2*y-4x*y*z-y^2*z", "-3y^3+6x^2*z-6x*y*z+2z^3",
+        "5x*y-6x*z-8y*z+3z^2",
+    )
+    order = WeightedOrder((-1, 0, -2), GREVLEX)
+    seen = []
+
+    def spy(f, divisors, order, *args, **kwargs):
+        res = normal_form(f, divisors, order, *args, **kwargs)
+        seen.append((res.step_count, f, list(divisors), res.remainder))
+        return res
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    buchberger(gens, order)
+    monkeypatch.undo()
+    steps, f, divisors, remainder = max(seen, key=lambda entry: entry[0])
+    assert steps == 85
+    calls = []
+    for name in ("add", "sub", "mul", "div", "inv"):
+        op = getattr(f2, name)
+        monkeypatch.setattr(f2, name, lambda *a, op=op, name=name: calls.append(name) or op(*a))
+    res = normal_form(f, divisors, order)
+    assert res.step_count == 85 and res.remainder == remainder
+    assert len(calls) <= 2, calls  # none per step; at most the final 1/u
+    monkeypatch.undo()
+    # the scalars come back canonical, and the replayed quotients certify r
+    assert all(type(c) is Fraction for c in res.remainder.terms.values())
+    acc = res.remainder
+    for h, g in zip(res.quotients, divisors):
+        assert all(type(c) is Fraction for c in h.terms.values())
+        acc = acc + h * g
+    assert acc == f
 
 
 def test_custom_ecart_still_divides():

@@ -259,6 +259,22 @@ def test_padic_valuation_function():
         padic_valuation(0, 2)
 
 
+def test_padic_valuation_agrees_with_repeated_division():
+    def by_division(n, p):
+        n, v = abs(n), 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        return v
+
+    rng = random.Random("padic-valuation")
+    for bits in (1, 7, 64, 1000, 12000, 40000):
+        for _ in range(12):
+            n = (rng.getrandbits(bits) | 1) << rng.randrange(0, 300)
+            n *= rng.choice((1, -1))
+            for p in (2, 3, 5):
+                assert padic_valuation(n, p) == by_division(n, p), (bits, p)
+
+
 def test_prime_validation():
     with pytest.raises(ValueError):
         Qp(4)

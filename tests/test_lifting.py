@@ -260,6 +260,33 @@ def test_gb_mod_pm_fallback_counts_retries():
         assert basis.elements == direct.elements
 
 
+def test_gb_mod_pm_verification_faults_propagate(monkeypatch):
+    # the rational verification is exact: a fault in it is not a too-small
+    # modulus, so it must not become retries and a fallback
+    import valgb.lifting as lifting
+    from valgb.division import CoefficientBlowup
+
+    F = polys(Qp(2), "x,y", "x+2y", "y+2x")
+
+    def broken(*args, **kwargs):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(lifting, "is_basis_of", broken)
+    stats = {}
+    with pytest.raises(AssertionError, match="broken invariant"):
+        gb_mod_pm(F, zero_order(2), m=8, stats=stats)
+    assert stats == {}
+
+    # an exhausted budget in the verification still counts as a failed attempt
+    def tripped(*args, **kwargs):
+        raise CoefficientBlowup("leading coefficient exceeded 1 bits after 0 steps")
+
+    monkeypatch.setattr(lifting, "is_basis_of", tripped)
+    basis = gb_mod_pm(F, zero_order(2), m=8, retry_budget=1, stats=stats)
+    assert stats["fallback"] and stats["m_values"] == [8, 16]
+    assert basis.elements == polys(Qp(2), "x,y", "x", "y")
+
+
 @pytest.mark.parametrize("other", [(QQ, XYZ, "x*y"), (Qp(2), "x,y", "x*y")])
 def test_gb_mod_pm_rejects_mixed_generators(other):
     # bad input is reported before any modulus is tried, not after a fallback

@@ -21,9 +21,9 @@ from valgb import (
     leading_term,
     trop_weight,
 )
-from valgb.weights import EQUAL_RANK, GREATER, LESS
+from valgb.weights import EQUAL_RANK, GREATER, LESS, weight_dot
 
-from conftest import P, random_homogeneous, zero_order
+from conftest import P, random_homogeneous, random_scalar, uniformizer, zero_order
 
 
 @pytest.fixture
@@ -177,3 +177,44 @@ def test_modpm_leading_data():
     form = initial_form(f, (0, 0))
     assert form == Polynomial(GF(2), 2, {(1, 1): 1})
     assert trop_weight(f, (1, 0)) == 1  # 12 x^2: 2+2; 3xy: 0+1; 8y^2: 3+0
+
+
+@pytest.mark.parametrize(
+    "field", [Qp(2), Qp(3), QQ, Qt(), ModPmRing(3, 7)], ids=lambda field: field.label
+)
+def test_leading_term_is_the_brute_force_maximum(field):
+    # the least val(c) + w.m, ties to the largest tiebreak key; each order is
+    # asked twice, so the second scan reads a warm rank table
+    rng = random.Random(f"rank-table-{field.label}")
+    t = uniformizer(field)
+    for trial in range(40):
+        priority = tuple(rng.sample(range(3), 3)) if rng.random() < 0.5 else None
+        tiebreak = TermOrder(rng.choice(["lex", "grevlex"]), priority)
+        order = WeightedOrder(tuple(rng.randint(-3, 3) for _ in range(3)), tiebreak)
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                c = random_scalar(rng, field)
+                for _ in range(rng.randint(0, 2)):
+                    c = field.mul(c, t)
+                terms[tuple(rng.randint(0, 3) for _ in range(3))] = c
+            f = Polynomial(field, 3, terms)
+            if f.is_zero():
+                continue
+            lm = max(f.terms, key=lambda m: (
+                -(field.val(f.terms[m]) + weight_dot(order.weights, m)),
+                tiebreak.sort_key(m),
+            ))
+            w = field.val(f.terms[lm]) + weight_dot(order.weights, lm)
+            assert leading_term(f, order) == (w, lm, f.terms[lm]), f"trial {trial}"
+
+
+def test_rank_table_leaves_equality_and_hash_alone():
+    tiebreak = TermOrder("lex", (2, 0, 1))
+    warm = WeightedOrder((1, -2, 0), tiebreak)
+    cold = WeightedOrder((1, -2, 0), tiebreak)
+    leading_term(P(Qp(2), "x,y,z", "x^2+y*z+4z^2"), warm)
+    assert len(warm._ranks) == 3 and len(cold._ranks) == 0
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert {cold: "order"}[warm] == "order"
