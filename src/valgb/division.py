@@ -61,7 +61,8 @@ from .weights import WeightedOrder, _leading, leading_term
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Division exceeded its step budget (only possible with a custom ecart)."""
+    """Division exceeded its step budget; the division always terminates, so
+    this only caps a run that is too long for the caller."""
 
 
 class CoefficientBlowup(RuntimeError):
@@ -128,7 +129,6 @@ class _Divisor:
     state: int | None = None
     r: dict | None = None
     u: object = None
-    poly: Polynomial | None = None  # what a custom ecart sees
 
 
 def _coeff_bits(c) -> int:
@@ -213,7 +213,6 @@ def normal_form(
     f: Polynomial,
     divisors: list,
     order: WeightedOrder,
-    ecart=support_count_ecart,
     *,
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = None,
@@ -228,8 +227,8 @@ def normal_form(
     Internally the loop holds u*f = sum h_i g_i + q + r up to a common
     scalar (see the module docstring) and divides by u once at the end; the
     trace reports q/u and r/u, and the breaker tests the bits of lc(q)/u.
-    The quotients are built when ``quotients`` is first read.  A custom
-    ``ecart`` sees q up to a scalar, so it should depend on supports only.
+    The quotients are built when ``quotients`` is first read.  Divisors are
+    chosen by the support-count ecart (``support_count_ecart``).
     """
     fld = f.field
     n = f.nvars
@@ -238,7 +237,6 @@ def normal_form(
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
     integral = isinstance(fld, (RationalField, QpField))
-    default_ecart = ecart is support_count_ecart
 
     # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
     in_loop_scalars = _integer_terms if integral else lambda g: (g.terms, None)
@@ -253,7 +251,7 @@ def normal_form(
             raise ValueError(f"divisor {i} is not homogeneous")
         _, lm, _ = leading_term(g, order)
         terms, s = in_loop_scalars(g)
-        T.append(_Divisor(terms, lm, terms[lm], frozenset(terms), i, poly=g))
+        T.append(_Divisor(terms, lm, terms[lm], frozenset(terms), i))
         factors.append(s)
 
     one = fld.one()
@@ -315,25 +313,19 @@ def normal_form(
             return Polynomial(fld, n, {m: fld.mul(c, inv_u) for m, c in terms.items()},
                               _clean=True)
 
-    def as_poly(terms):
-        return unscaled(terms, Fraction(1) if integral else None)
-
     R: dict = {}
     record: list = []  # read by _replay_quotients
     steps = 0
     trace_log: list[TraceStep] | None = [] if trace else None
 
     def record_state():
-        poly = None if default_ecart else as_poly(Q)
-        T.append(_Divisor(Q, lm, a, frozenset(Q), None, len(T) - len(divisors), R, U,
-                          poly=poly))
+        T.append(_Divisor(Q, lm, a, frozenset(Q), None, len(T) - len(divisors), R, U))
         record.append(None)
 
     while Q:
         if steps >= max_steps:
             raise StepBudgetExceeded(
-                f"division did not finish within {max_steps} steps; "
-                "the supplied ecart function may not guarantee termination"
+                f"division did not finish within {max_steps} steps"
             )
         if trace_log is not None:
             inv_u = inverse_unit(U)
@@ -345,20 +337,15 @@ def normal_form(
                 f"leading coefficient exceeded {max_coeff_bits} bits after {steps} steps"
             )
 
-        # choose the dividing entry of T with minimal ecart; original divisors
-        # win ties, then earliest insertion
+        # choose the dividing entry of T with minimal (support-count) ecart;
+        # original divisors win ties, then earliest insertion
         best = None
         best_key = None
         q_supp = Q.keys()
-        q_poly = None if default_ecart else as_poly(Q)
         for idx, entry in enumerate(T):
             if not mono_divides(entry.lm, lm):
                 continue
-            if default_ecart:
-                e_val = len(entry.supp - q_supp)
-            else:
-                e_val = ecart(q_poly, entry.poly)
-            key = (e_val, 0 if entry.orig_index is not None else 1, idx)
+            key = (len(entry.supp - q_supp), 0 if entry.orig_index is not None else 1, idx)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
 

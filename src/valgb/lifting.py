@@ -6,7 +6,8 @@ substitute x_i -> p^(w_i) x_i, clear denominators and p-content, complete a
 basis mod p^m with weight zero, read off the initial monomial ideal, and
 reconstruct the reduced rational basis degree by degree with exact linear
 algebra.  The reconstruction fails loudly when m was too small, so the whole
-pipeline verifies over Q and retries with doubled m.
+pipeline verifies over Q and retries with doubled m.  The reconstruction
+takes Q and Qp generators only; Hilbert dimensions take any field.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .division import CoefficientBlowup, StepBudgetExceeded, primitive_factor
-from .fields import INF, ModPmRing, QpField, padic_valuation
+from .fields import INF, ModPmRing, QQ, QpField, padic_valuation
 from .groebner import (
     GroebnerBasis,
     buchberger,
@@ -24,8 +25,9 @@ from .groebner import (
     reduce_basis,
     sort_basis,
 )
-from .linalg import bareiss_rank, rref
+from .linalg import rref
 from .polynomials import (
+    GREVLEX,
     Monomial,
     Polynomial,
     mono_degree,
@@ -57,31 +59,28 @@ def _field_and_nvars(F: list):
     return field, nvars
 
 
-def _macaulay_rows(F: list, monomials: list = ()):
+def _macaulay_rows(F: list, monomials: list):
     """Return rows(d, columns), the coefficient rows of F's degree-d multiples.
 
-    F (nonzero) and the monomials must agree on field and variable count.
-    Rational generators are scaled to coprime integers once, so their rows
-    are int lists with the same row space.
+    F (nonzero, over Q or Qp) and the monomials must agree on field and
+    variable count.  The generators are scaled to coprime integers once, so
+    their rows are int lists with the same row space.
     """
-    field, nvars = _field_and_nvars(F)
+    _, nvars = _field_and_nvars(F)
     if any(len(m) != nvars for m in monomials):
         raise ValueError("monomial/variable mismatch")
-    rational = type(field.zero()) is Fraction
-    zero = 0 if rational else field.zero()
-    gens = []
-    for f in F:
-        terms = f.terms
-        if rational:
-            terms = {m: c.numerator for m, c in clear_denominators(f).terms.items()}
-        gens.append((f.homogeneous_degree(), terms))
+    gens = [
+        (f.homogeneous_degree(),
+         {m: c.numerator for m, c in clear_denominators(f).terms.items()})
+        for f in F
+    ]
 
-    def rows(d: int, columns: list[Monomial]) -> list[list]:
+    def rows(d: int, columns: list[Monomial]) -> list[list[int]]:
         index = {m: i for i, m in enumerate(columns)}
         out = []
         for degree, terms in gens:
             for v in monomials_of_degree(nvars, d - degree):
-                row = [zero] * len(columns)
+                row = [0] * len(columns)
                 for m, c in terms.items():
                     row[index[tuple(a + b for a, b in zip(m, v))]] = c
                 out.append(row)
@@ -91,15 +90,23 @@ def _macaulay_rows(F: list, monomials: list = ()):
 
 
 def hilbert_dim(F: list, d: int) -> int:
-    """Exact dimension over K of the degree-d slice of the ideal <F>."""
+    """Dimension over K of the degree-d slice of the ideal <F>.
+
+    I and its initial ideal share a Hilbert function for every weight and
+    valuation, so this counts the degree-d monomials in the leading ideal of
+    one grevlex basis with weight zero.  Generators over Q or Qp are read
+    over the trivially valued Q, which keeps the p-adic blow-up out of it.
+    """
     F = [f for f in F if not f.is_zero()]
     if not F:
         return 0
-    field = F[0].field
-    rows = _macaulay_rows(F)(d, monomials_of_degree(F[0].nvars, d))
-    if type(field.zero()) is Fraction:
-        return bareiss_rank(rows)
-    return len(rref(rows, field)[0])
+    field, nvars = _field_and_nvars(F)
+    if isinstance(field, QpField):
+        F = [Polynomial(QQ, nvars, f.terms, _clean=True) for f in F]
+    lms = buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
+    return sum(
+        1 for m in monomials_of_degree(nvars, d) if any(mono_divides(t, m) for t in lms)
+    )
 
 
 def lift_groebner(
@@ -111,7 +118,8 @@ def lift_groebner(
     coefficient matrix of all degree-d multiples of F is row reduced with the
     claimed initial monomials ordered first.  When the claim is consistent
     the pivots land exactly on that block and each target monomial's row is a
-    reduced basis element.
+    reduced basis element.  F must be over Q or Qp; any other field raises
+    ``ValueError``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -129,7 +137,7 @@ def lift_groebner(
         block = [m for m in all_d if any(mono_divides(t, m) for t in targets)]
         rest = [m for m in all_d if not any(mono_divides(t, m) for t in targets)]
         columns = block + rest
-        reduced, pivots = rref(degree_rows(d, columns), field)
+        reduced, pivots = rref(degree_rows(d, columns))
         if pivots != list(range(len(block))):
             raise LiftInconsistent(
                 f"initial-ideal claim inconsistent in degree {d}: expected the "
@@ -140,7 +148,7 @@ def lift_groebner(
             if mono_degree(t) != d:
                 continue
             row = reduced[col_of[t]]
-            terms = {m: c for m, c in zip(columns, row) if not field.is_zero(c)}
+            terms = {m: c for m, c in zip(columns, row) if c}
             out.append(Polynomial(field, nvars, terms, _clean=True))
     return GroebnerBasis(sort_basis(out, order), order)
 

@@ -4,12 +4,14 @@ Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
 the package's own division or basis machinery; the eager tangent-cone
-division at the end uses only the package's polynomials and leading terms.
+division at the end uses only the package's polynomials and leading terms,
+and the Macaulay rank uses only the package's integer rank.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 # -- tiny coefficient helpers -------------------------------------------------
@@ -258,25 +260,63 @@ def series_valuation(num_coeffs, den_coeffs, order=50):
 
 
 def gauss_jordan(rows):
-    """Textbook Fraction Gauss-Jordan with the first nonzero entry as pivot.
+    """Textbook Gauss-Jordan with the first nonzero entry as pivot.
 
-    Returns (nonzero reduced rows in pivot order, pivot column indices).
+    Entries are Fractions (ints are converted) or Q(t) elements; only
+    + - * / and truth tests are used.  Returns (nonzero reduced rows in pivot
+    order, pivot column indices).
     """
-    m = [[Fraction(c) for c in r] for r in rows]
+    m = [[c if hasattr(c, "num") else Fraction(c) for c in r] for r in rows]
     pivots = []
     for col in range(len(m[0]) if m else 0):
         k = len(pivots)
-        r = next((i for i in range(k, len(m)) if m[i][col] != 0), None)
+        r = next((i for i in range(k, len(m)) if m[i][col]), None)
         if r is None:
             continue
         m[k], m[r] = m[r], m[k]
         m[k] = [c / m[k][col] for c in m[k]]
         for i in range(len(m)):
             factor = m[i][col]
-            if i != k and factor != 0:
+            if i != k and factor:
                 m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
         pivots.append(col)
     return m[: len(pivots)], pivots
+
+
+def macaulay_dim(F, d):
+    """dim <F>_d as the rank of the coefficient matrix of F's degree-d multiples.
+
+    F holds homogeneous polynomials with Fraction (Q, Qp) or Q(t)
+    coefficients; only their term dicts are read.  Rational rows are scaled
+    to integers and ranked by ``valgb.linalg.bareiss_rank``, Q(t) rows by
+    ``gauss_jordan``.
+    """
+    from valgb.linalg import bareiss_rank
+
+    gens = [dict(f.terms) for f in F if f.terms]
+    if not gens:
+        return 0
+    sample = next(iter(gens[0].values()))
+    rational = not hasattr(sample, "num")
+    nvars = len(next(iter(gens[0])))
+    index = {m: i for i, m in enumerate(_monomials(nvars, d))}
+    zero = 0 if rational else sample - sample
+    rows = []
+    for terms in gens:
+        shift = d - sum(next(iter(terms)))
+        if shift < 0:
+            continue
+        if rational:
+            k = lcm(*(c.denominator for c in terms.values()))
+            terms = {m: int(c * k) for m, c in terms.items()}
+        for v in _monomials(nvars, shift):
+            row = [zero] * len(index)
+            for m, c in terms.items():
+                row[index[tuple(a + b for a, b in zip(m, v))]] = c
+            rows.append(row)
+    if not rows:
+        return 0
+    return bareiss_rank(rows) if rational else len(gauss_jordan(rows)[1])
 
 
 # -- eager division -------------------------------------------------------------

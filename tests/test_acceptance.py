@@ -49,7 +49,7 @@ from conftest import (
     to_oracle,
     zero_order,
 )
-from oracles import brute_force_contains_monomial
+from oracles import brute_force_contains_monomial, macaulay_dim
 
 XYZ = "x,y,z"
 
@@ -178,7 +178,9 @@ def test_criterion_06_hilbert_function_suite():
         basis = reduce_basis(buchberger(gens, order))
         lms = basis.leading_monomials()
         for d in range(0, 7):
-            left = comb(nvars + d - 1, d) - hilbert_dim(gens, d)
+            dim = hilbert_dim(gens, d)
+            assert dim == macaulay_dim(gens, d), f"trial {trial}, degree {d}"
+            left = comb(nvars + d - 1, d) - dim
             right = sum(
                 1
                 for m in monomials_of_degree(nvars, d)
@@ -187,7 +189,8 @@ def test_criterion_06_hilbert_function_suite():
             assert left == right, f"trial {trial}, degree {d}: {left} != {right}"
     seconds = time.perf_counter() - t0
     assert seconds < 300.0
-    report(6, f"200 random ideals: Hilbert functions agree for d <= 6 in {seconds:.1f} s")
+    report(6, f"200 random ideals: Hilbert functions and Macaulay ranks agree for d <= 6 "
+              f"in {seconds:.1f} s")
 
 
 def test_criterion_07_criteria_soundness():

@@ -1,0 +1,49 @@
+"""The benchmark's tracing hooks still find, wrap and restore the library.
+
+``perfbench/tracing.py`` wraps library functions by module and name; a rename
+in the library would crash a traced benchmark run, so it fails here first.
+The tracing module is only loaded, never changed.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import valgb
+import valgb.cli  # noqa: F401  the hooks wrap cli.main too
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot() -> dict:
+    """Every attribute of every valgb module and of the classes they define."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "valgb" or name.startswith("valgb.")]
+    state = {m.__name__: dict(vars(m)) for m in modules}
+    for m in modules:
+        for value in vars(m).values():
+            if isinstance(value, type) and value.__module__.startswith("valgb"):
+                state[f"{value.__module__}.{value.__qualname__}"] = dict(vars(value))
+    return state
+
+
+@pytest.mark.parametrize("hook", ["Spans", "ScalarCounts"])
+def test_tracing_hooks_install_and_restore(hook):
+    tracing = _load_tracing()
+    before = _snapshot()
+    instrument = getattr(tracing, hook)()
+    instrument.install(valgb)
+    try:
+        assert _snapshot() != before
+    finally:
+        instrument.uninstall()
+    assert _snapshot() == before

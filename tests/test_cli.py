@@ -1,5 +1,9 @@
 """End-to-end command-line behavior with golden outputs and exit codes."""
 
+import time
+
+import pytest
+
 from valgb.cli import main
 
 
@@ -193,6 +197,29 @@ def test_bounds_command(tmp_path, capsys):
     assert "D = 32" in out
     assert any(line.startswith("valuation_bound = ") for line in out)
     assert "truncated = true" in out
+
+
+@pytest.mark.parametrize(
+    "text, cap, expected",
+    [
+        # the benchmark's quadric pair at the default cap (Dube bound 32)
+        ("field Qp(2)\nvars x,y,z\nideal: x^2+2*y*z+4*z^2, x*y-y^2+2*z^2\n",
+         None, ["evaluated_degree = 32", "A = 557", "truncated = false"]),
+        # a ternary cubic pair, capped below its Dube bound of 113
+        ("field Qp(3)\nvars x,y,z\nideal: x^3+3*y^2*z-9*z^3, x*y*z-y^3+3*x^2*z\n",
+         64, ["evaluated_degree = 64", "A = 2136", "truncated = true"]),
+    ],
+)
+def test_bounds_at_high_degree_is_fast(tmp_path, capsys, text, cap, expected):
+    # two plane curves of degrees a, b without a common factor meet in a*b
+    # points, so dim I_d = C(d+2, 2) - a*b: 561 - 4 at d = 32, 2145 - 9 at 64
+    path = write(tmp_path, "bounds.vgb", text)
+    argv = ["bounds", path] + ([] if cap is None else ["--degree-cap", str(cap)])
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in expected), out
 
 
 def test_compare_cardinality_csv(capsys):

@@ -33,7 +33,7 @@ from conftest import (
     to_oracle,
     zero_order,
 )
-from oracles import reference_leading_monomials
+from oracles import macaulay_dim, reference_leading_monomials
 
 XYZ = "x,y,z"
 
@@ -259,7 +259,9 @@ def test_qt_hilbert_function_equality():
         basis = reduce_basis(buchberger(gens, order))
         lms = basis.leading_monomials()
         for d in range(0, 4):
-            left = comb(3 + d - 1, d) - hilbert_dim(gens, d)
+            dim = hilbert_dim(gens, d)
+            assert dim == macaulay_dim(gens, d)
+            left = comb(3 + d - 1, d) - dim
             right = sum(
                 1 for m in monomials_of_degree(3, d)
                 if not any(mono_divides(lm, m) for lm in lms)
@@ -298,7 +300,9 @@ def test_hilbert_function_equality_small():
             basis = reduce_basis(buchberger(gens, order))
             lms = basis.leading_monomials()
             for d in range(0, 5):
-                left = comb(3 + d - 1, d) - hilbert_dim(gens, d)
+                dim = hilbert_dim(gens, d)
+                assert dim == macaulay_dim(gens, d)
+                left = comb(3 + d - 1, d) - dim
                 monos = monomials_of_degree(3, d)
                 right = sum(
                     1 for m in monos if not any(mono_divides(lm, m) for lm in lms)

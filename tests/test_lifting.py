@@ -7,8 +7,9 @@ from math import lcm
 import pytest
 
 from valgb import (
-    GF,
     GREVLEX,
+    ModPmRing,
+    Polynomial,
     Qp,
     QQ,
     Qt,
@@ -16,14 +17,20 @@ from valgb import (
     WeightedOrder,
     buchberger,
     hilbert_dim,
+    leading_term,
     lift_groebner,
     reduce_basis,
 )
-from valgb.lifting import LiftInconsistent, clear_denominators, gb_mod_pm
+from valgb.lifting import (
+    LiftInconsistent,
+    _modpm_normalize,
+    clear_denominators,
+    gb_mod_pm,
+)
 from valgb.linalg import bareiss_rank, rref
 
 from conftest import P, polys, random_ideal, random_weights, zero_order
-from oracles import gauss_jordan
+from oracles import gauss_jordan, macaulay_dim
 
 XYZ = "x,y,z"
 
@@ -42,7 +49,7 @@ def test_bareiss_rank_against_fraction_elimination():
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         frac_rows = [[Fraction(c) for c in row] for row in m]
-        _, pivots = rref(frac_rows, QQ)
+        _, pivots = rref(frac_rows)
         assert bareiss_rank(m) == len(pivots)
 
 
@@ -76,23 +83,19 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
     for trial in range(300):
         m = _random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         expected = gauss_jordan(m)
-        for field in (QQ, Qp(2)):
-            assert rref(m, field) == expected, f"trial {trial}, {field}"
+        assert rref(m) == expected, f"trial {trial}"
         scale = lcm(*(c.denominator for row in m for c in row))
         ints = [[int(c * scale) for c in row] for row in m]
         assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
 
 
-def test_rref_keeps_field_scalar_types():
-    qt = Qt()
-    t, one = RatFunc.t_power(1), qt.one()
-    rows = [[t, one, qt.zero()], [one, t, t], [t, t, one]]
-    reduced, pivots = rref(rows, qt)
+def test_gauss_jordan_oracle_over_qt():
+    t, one, zero = RatFunc.t_power(1), RatFunc(1), RatFunc(0)
+    reduced, pivots = gauss_jordan([[t, one, zero], [one, t, t], [t, t, one]])
     assert pivots == [0, 1, 2]
-    assert all(isinstance(c, RatFunc) for row in reduced for c in row)
-    reduced, pivots = rref([[1, 2, 0], [0, 1, 3], [4, 0, 2]], GF(5))
-    assert pivots == [0, 1, 2]
-    assert all(type(c) is int for row in reduced for c in row)
+    assert reduced == [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    reduced, pivots = gauss_jordan([[t, one], [t * t, t]])
+    assert pivots == [0] and reduced == [[one, one / t]]
 
 
 def test_macaulay_inputs_must_agree():
@@ -106,12 +109,16 @@ def test_macaulay_inputs_must_agree():
     F = polys(f2, "x,y", "x+2y", "y+2x")
     with pytest.raises(ValueError, match="monomial/variable mismatch"):
         lift_groebner(F, zero_order(2), [(1, 0, 0), (0, 1)])
+    # the reconstruction is rational only
+    F = polys(Qt(), "x,y", "x+t*y", "y+2x")
+    with pytest.raises(ValueError, match="rational coefficients"):
+        lift_groebner(F, zero_order(2), [(1, 0), (0, 1)])
 
 
 def test_rref_prefers_low_valuation_pivots():
-    f2 = Qp(2)
+    # the first column's 2-adic valuations are 1 and 0
     rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    reduced, pivots = rref(rows, f2)
+    reduced, pivots = rref(rows)
     assert pivots == [0, 1]
     # the identity block must be exact
     assert reduced[0][0] == 1 and reduced[1][1] == 1
@@ -126,15 +133,22 @@ def test_clear_denominators():
     assert clear_denominators(h) == P(QQ, "x,y", "2x+3y")
 
 
+def _dim(F, d):
+    """hilbert_dim, checked against the Macaulay-rank oracle."""
+    got = hilbert_dim(F, d)
+    assert got == macaulay_dim(F, d), f"degree {d}"
+    return got
+
+
 def test_hilbert_dim_examples():
     f2 = Qp(2)
     F = polys(f2, XYZ, "x^2", "x*y")
-    assert hilbert_dim(F, 2) == 2
+    assert _dim(F, 2) == 2
     F2 = polys(f2, XYZ, "x+z")
-    assert hilbert_dim(F2, 1) == 1
-    assert hilbert_dim(F2, 3) == 6  # (x+z) * S_2, injective multiplication
-    assert hilbert_dim([], 2) == 0
-    assert hilbert_dim(F, 1) == 0
+    assert _dim(F2, 1) == 1
+    assert _dim(F2, 3) == 6  # (x+z) * S_2, injective multiplication
+    assert _dim([], 2) == 0
+    assert _dim(F, 1) == 0
 
 
 def test_hilbert_dim_cardinality_pair():
@@ -142,13 +156,15 @@ def test_hilbert_dim_cardinality_pair():
 
     rng = random.Random("hd")
     f, g = sample_pair(1, rng)
-    assert hilbert_dim([f, g], 2) == 2
+    assert _dim([f, g], 2) == 2
 
 
 def test_hilbert_dim_qt():
     qt = Qt()
     F = polys(qt, XYZ, "x+t*z", "(1+t)*y")
-    assert hilbert_dim(F, 1) == 2
+    assert _dim(F, 1) == 2
+    G = polys(qt, XYZ, "x^2-t*y*z", "x*y+(1/t)*z^2", "t^2*y^2-x*z")
+    assert [_dim(G, d) for d in range(6)] == [0, 0, 3, 9, 15, 21]
 
 
 def test_lift_single_generator():
@@ -186,6 +202,19 @@ def test_lift_matches_reduced_basis_rows():
         red = reduce_basis(buchberger(gens, order))
         lifted = lift_groebner(gens, order, red.leading_monomials())
         assert lifted.elements == red.elements
+
+
+def test_modpm_normalize_half_modulus_rule():
+    # mod 2^8, content at m/2 = 4 or above is truncation noise and reads as
+    # zero; content below it is stripped and the result made monic
+    ring = ModPmRing(2, 8)
+    order = zero_order(2)
+    noise = Polynomial(ring, 2, {(1, 0): 2**4, (0, 1): 3 * 2**4})
+    assert _modpm_normalize(noise, order).is_zero()
+    f = Polynomial(ring, 2, {(1, 0): 3 * 2**3, (0, 1): 5 * 2**3})
+    g = _modpm_normalize(f, order)
+    assert g == Polynomial(ring, 2, {(1, 0): 1, (0, 1): 5 * pow(3, -1, 2**8)})
+    assert leading_term(g, order)[1:] == ((1, 0), 1)
 
 
 def test_gb_mod_pm_tiny():
