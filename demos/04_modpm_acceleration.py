@@ -35,11 +35,10 @@ names = [f"x{i}" for i in range(1, 10)]
 gens = [parse_polynomial(s, field, names) for s in GENERATORS]
 order = WeightedOrder((0,) * 9, GREVLEX)
 
-stats = {}
 t0 = time.perf_counter()
-basis = buchberger(gens, order, stats=stats)
+basis = buchberger(gens, order)
 print(f"with criteria: {len(basis.elements)} elements in {time.perf_counter()-t0:.3f}s "
-      f"(B1 skipped {stats['b1']}, B2 skipped {stats['b2']})")
+      f"(B1 skipped {basis.stats['b1']}, B2 skipped {basis.stats['b2']})")
 
 try:
     buchberger(gens, order, use_criteria=False, max_coeff_bits=20000)

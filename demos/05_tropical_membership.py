@@ -4,8 +4,8 @@ Tropical membership of weight vectors
 
 A weight vector w lies in the tropical variety of a homogeneous ideal
 exactly when the initial ideal in_w(I) contains no monomial.  The monomial
-test saturates by each variable (grevlex with that variable last, divide by
-its powers) until a fixed point, then looks for a constant.  For the plane
+test saturates once by each variable in turn (grevlex with that variable
+last, divide by its powers), then looks for a constant.  For the plane
 x+y+z = 0 the tropical variety is the standard tropical line: membership
 holds where the minimum weight is attained at least twice.
 """

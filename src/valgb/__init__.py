@@ -35,7 +35,6 @@ from .weights import (
     WeightedOrder,
     compare,
     initial_form,
-    leading_coefficient,
     leading_data,
     leading_monomial,
     leading_term,

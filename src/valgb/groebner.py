@@ -101,7 +101,6 @@ def buchberger(
     max_coeff_bits: int | None = None,
     normalize=None,
     progress=None,
-    stats: dict | None = None,
 ) -> GroebnerBasis:
     """Complete homogeneous generators to a basis under a weighted order.
 
@@ -177,8 +176,6 @@ def buchberger(
             push_pairs(len(G) - 1)
         if progress is not None:
             progress(counters["pairs"], len(heap))
-    if stats is not None:
-        stats.update(counters)
     return GroebnerBasis(G, order, stats=counters)
 
 

@@ -15,16 +15,6 @@ from .fields import CoefficientField
 
 Monomial = tuple
 
-ONE_MONO_CACHE: dict[int, Monomial] = {}
-
-
-def unit_monomial(nvars: int) -> Monomial:
-    m = ONE_MONO_CACHE.get(nvars)
-    if m is None:
-        m = (0,) * nvars
-        ONE_MONO_CACHE[nvars] = m
-    return m
-
 
 def mono_degree(m: Monomial) -> int:
     return sum(m)
@@ -129,7 +119,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field, nvars, c):
-        return cls(field, nvars, {unit_monomial(nvars): c})
+        return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, field, nvars, i):
@@ -165,12 +155,6 @@ class Polynomial:
         if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
         return self.degree()
-
-    def support(self):
-        return self.terms.keys()
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.field.zero())
 
     # -- arithmetic -----------------------------------------------------------
     def _compat(self, other: "Polynomial"):

@@ -3,8 +3,10 @@
 A weight vector w lies in the tropical variety of a homogeneous ideal
 exactly when the initial ideal in_w(I) contains no monomial, and a
 homogeneous ideal contains a monomial iff saturating it by the product of
-all variables yields the unit ideal.  Saturation by one variable is read off
-a grevlex basis with that variable last: divide every element by its maximal
+all variables yields the unit ideal.  Since (I : f^inf) : g^inf =
+I : (fg)^inf, one saturation per variable, in turn, gives that product's
+saturation.  Saturation by one variable is read off any grevlex basis with
+that variable last (Bayer-Stillman): divide every element by its maximal
 power of the variable.
 """
 
@@ -24,10 +26,6 @@ def initial_ideal(F: list, order: WeightedOrder, *, max_steps: int = 1_000_000) 
     return [initial_form(g, order.weights) for g in gb.elements]
 
 
-def _zero_order(nvars: int, tiebreak: TermOrder = GREVLEX) -> WeightedOrder:
-    return WeightedOrder((0,) * nvars, tiebreak)
-
-
 def _strip_variable(f: Polynomial, var: int) -> Polynomial:
     """Divide by the largest power of x_var dividing f."""
     k = min(m[var] for m in f.terms)
@@ -42,22 +40,19 @@ def _strip_variable(f: Polynomial, var: int) -> Polynomial:
 
 
 def saturate_variable(gens: list, var: int, *, max_steps: int = 1_000_000) -> list:
-    """Generators of (I : x_var^inf) for homogeneous I over a residue field."""
+    """Generators of (I : x_var^inf) for homogeneous I over a residue field.
+
+    The result is a basis of the saturation under grevlex with x_var least
+    significant, but not a reduced one.
+    """
     if not gens:
         return []
     nvars = gens[0].nvars
     # grevlex with the saturating variable least significant
     priority = tuple(i for i in range(nvars) if i != var) + (var,)
-    order = _zero_order(nvars, TermOrder("grevlex", priority))
-    basis = reduce_basis(buchberger(gens, order, max_steps=max_steps), max_steps=max_steps)
+    order = WeightedOrder((0,) * nvars, TermOrder("grevlex", priority))
+    basis = buchberger(gens, order, max_steps=max_steps)
     return [_strip_variable(g, var) for g in basis.elements]
-
-
-def _canonical(gens: list, *, max_steps: int = 1_000_000) -> list:
-    order = _zero_order(gens[0].nvars)
-    return reduce_basis(
-        buchberger(gens, order, max_steps=max_steps), max_steps=max_steps
-    ).elements
 
 
 def _has_constant(gens: list) -> bool:
@@ -67,8 +62,9 @@ def _has_constant(gens: list) -> bool:
 def contains_monomial(gens: list, *, max_steps: int = 1_000_000) -> bool:
     """Does a homogeneous residue-field ideal contain a monomial?
 
-    Saturates by each variable in turn until a fixed point; the saturated
-    ideal is the unit ideal exactly when its reduced basis holds a constant.
+    Saturates by each variable once, in turn.  The last saturation returns a
+    basis of I : (x_1...x_n)^inf, which holds a constant exactly when that
+    ideal is the unit ideal, that is, when I contains a monomial.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -76,19 +72,12 @@ def contains_monomial(gens: list, *, max_steps: int = 1_000_000) -> bool:
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("monomial containment requires homogeneous generators")
-    nvars = gens[0].nvars
-    current = _canonical(gens, max_steps=max_steps)
-    while True:
+    current = gens
+    for var in range(gens[0].nvars):
         if _has_constant(current):
             return True
-        previous = current
-        for var in range(nvars):
-            current = saturate_variable(current, var, max_steps=max_steps)
-            if _has_constant(current):
-                return True
-        current = _canonical(current, max_steps=max_steps)
-        if current == previous:
-            return _has_constant(current)
+        current = saturate_variable(current, var, max_steps=max_steps)
+    return _has_constant(current)
 
 
 def in_tropical_variety(

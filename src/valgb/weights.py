@@ -105,10 +105,6 @@ def leading_monomial(f: Polynomial, order: WeightedOrder) -> Monomial:
     return leading_term(f, order)[1]
 
 
-def leading_coefficient(f: Polynomial, order: WeightedOrder):
-    return leading_term(f, order)[2]
-
-
 def initial_form(f: Polynomial, weights) -> Polynomial:
     """Weight-minimal part of f over the residue field, units rescaled away."""
     if f.is_zero():

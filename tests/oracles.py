@@ -210,7 +210,8 @@ def brute_force_contains_monomial(gens, p=None, kind="grevlex"):
 
 def _monomials(nvars, d):
     if nvars == 1:
-        yield (d,)
+        if d >= 0:
+            yield (d,)
         return
     for first in range(d + 1):
         for rest in _monomials(nvars - 1, d - first):

@@ -138,9 +138,8 @@ def _monic_set(elements, order):
 
 def test_criterion_05_nine_variable_ideal():
     gens, expected, order = nine_variable_problem()
-    stats = {}
     t0 = time.perf_counter()
-    basis = buchberger(gens, order, stats=stats)
+    basis = buchberger(gens, order)
     seconds = time.perf_counter() - t0
     assert seconds < 60.0, f"criteria run took {seconds:.1f} s"
     got = _monic_set(basis.elements, order)
@@ -162,7 +161,7 @@ def test_criterion_05_nine_variable_ideal():
     report(
         5,
         f"nine-variable basis matches all 10 printed elements in {seconds:.2f} s "
-        f"(skips b1={stats['b1']} b2={stats['b2']}); {outcome}",
+        f"(skips b1={basis.stats['b1']} b2={basis.stats['b2']}); {outcome}",
     )
 
 
@@ -289,14 +288,19 @@ def test_criterion_10_tropical_membership():
 def test_criterion_11_cardinality_separation():
     t0 = time.perf_counter()
     lines = []
+    # exact reduced-basis sizes per default order: a count of non-minimal
+    # leading monomials would still pass the lower bound
+    exact = {1: (4, 3, 3, 3), 2: (5, 5, 5)}
     for e in (1, 2):
         need = math.ceil(Fraction(2 * e + 3, 2))
         for seed in range(10):
             rep = cardinality_report(e, default_orders(e), seed=seed)
             assert rep.padic_size == 2, f"e={e} seed={seed}"
+            assert rep.resamples == 0, f"e={e} seed={seed}"
+            assert tuple(rep.standard_sizes.values()) == exact[e], f"e={e} seed={seed}"
             for label, size in rep.standard_sizes.items():
                 assert size >= need, f"e={e} seed={seed} {label}: {size} < {need}"
-        lines.append(f"e={e}: 10 seeds, 2-adic size 2, classical sizes >= {need}")
+        lines.append(f"e={e}: 10 seeds, 2-adic size 2, classical sizes {exact[e]} >= {need}")
     seconds = time.perf_counter() - t0
     assert seconds < 300.0
     report(11, "; ".join(lines) + f" ({seconds:.1f} s)")

@@ -14,7 +14,7 @@ from valgb import (
     reduce_basis,
     sample_pair,
 )
-from valgb.cardinality import default_orders, is_strongly_stable
+from valgb.cardinality import GenericityError, default_orders, is_strongly_stable
 
 
 def test_sample_pair_shape():
@@ -68,14 +68,16 @@ def test_default_orders():
 
 
 def test_forced_degenerate_sample_is_resampled_or_fails():
-    # height 2 gives even coefficients only from {-2, 2}: collisions are
-    # common, so resampling events must be observed over several seeds
-    saw_resample = False
+    # height 4 draws even coefficients only from {-4, -2, 2, 4}: degenerate
+    # pairs are common, so resampling events must be observed over the seeds
+    resampled, failed = [], []
     for seed in range(12):
         try:
             report = cardinality_report(1, seed=seed, height=4, max_resamples=6)
-            saw_resample = saw_resample or report.resamples > 0
-        except Exception:
-            saw_resample = True
-            break
-    assert saw_resample
+        except GenericityError:
+            failed.append(seed)
+            continue
+        if report.resamples > 0:
+            resampled.append(seed)
+    assert resampled == [4, 9, 10]
+    assert failed == []

@@ -243,6 +243,15 @@ def test_gb_mod_pm_retries_from_too_small_m():
     direct = reduce_basis(buchberger(F, order))
     assert basis.elements == direct.elements
     assert not stats["fallback"]
+    # the S-polynomial 4y has content 2^2 = m/2 at m = 4, so the m/2 rule
+    # declares it zero, the lift fails, and m = 8 recovers
+    F = polys(f2, "x,y", "x", "x+4y")
+    order = WeightedOrder((0, 0), GREVLEX)
+    stats = {}
+    basis = gb_mod_pm(F, order, m=4, stats=stats)
+    assert stats["m_values"] == [4, 8]
+    assert not stats["fallback"]
+    assert basis.elements == reduce_basis(buchberger(F, order)).elements
 
 
 def test_gb_mod_pm_nine_variable_ideal():

@@ -18,6 +18,7 @@ from valgb import (
 from valgb.parsing import parse_polynomial
 
 from conftest import P, random_homogeneous
+from oracles import _monomials
 
 
 def test_add_cancellation():
@@ -121,6 +122,9 @@ def test_monomials_of_degree():
     assert len(monomials_of_degree(4, 5)) == 56  # C(8, 5)
     for nvars, d in [(1, -2), (2, -1), (3, -4)]:
         assert monomials_of_degree(nvars, d) == []
+    # the oracles' enumerator is empty below degree 0 too
+    assert list(_monomials(1, -1)) == []
+    assert list(_monomials(3, -1)) == []
 
 
 def test_ring_axioms_random():
