@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: gb, nf, initial, tropical-member, bounds, compare-cardinality.
-Exit status 0 on success, 1 on input errors, 2 when an internal budget was
-exhausted (step budget, coefficient breaker, retry budget, genericity).
+Exit status 0 on success, 1 on input and usage errors, 2 when an internal
+budget was exhausted (step budget, coefficient breaker, retry budget,
+genericity).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import dube_degree_bound, effective_valuation_bound
@@ -124,7 +126,8 @@ def _cmd_initial(args) -> int:
         return EXIT_OK
     _require_homogeneous(problem)
     for g in initial_ideal(problem.generators, problem.weighted_order(),
-                           max_steps=args.max_steps):
+                           max_steps=args.max_steps,
+                           max_coeff_bits=args.max_coeff_bits):
         _print_poly(g, problem)
     return EXIT_OK
 
@@ -133,7 +136,8 @@ def _cmd_tropical_member(args) -> int:
     problem = _load_problem(args.file)
     _require_homogeneous(problem)
     gens = initial_ideal(problem.generators, problem.weighted_order(),
-                         max_steps=args.max_steps)
+                         max_steps=args.max_steps,
+                         max_coeff_bits=args.max_coeff_bits)
     member = not contains_monomial(gens, max_steps=args.max_steps)
     print(f"member: {'true' if member else 'false'}")
     for g in gens:
@@ -177,8 +181,6 @@ def _cmd_compare_cardinality(args) -> int:
             seed=base + k,
             max_steps=args.max_steps,
         )
-        import math
-
         bound = math.ceil(report.lower_bound)
         for label, size in report.standard_sizes.items():
             print(
@@ -197,11 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="problem file")
+    def max_steps(p):
         p.add_argument("--max-steps", type=int, default=1_000_000,
                        help="division step budget (default 1e6)")
+
+    def common(p):
+        p.add_argument("file", help="problem file")
+        max_steps(p)
         p.add_argument("--max-coeff-bits", type=int, default=None,
                        help="coefficient-size circuit breaker in bits")
 
@@ -239,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_trop.set_defaults(func=_cmd_tropical_member)
 
     p_bounds = sub.add_parser("bounds", help="degree and valuation bounds")
-    common(p_bounds)
+    p_bounds.add_argument("file", help="problem file")
     p_bounds.add_argument("--degree-cap", type=int, default=64,
                           help="cap for the bound evaluation degree (default 64)")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_card = sub.add_parser("compare-cardinality",
                             help="p-adic vs classical basis sizes (CSV)")
-    common(p_card, needs_file=False)
+    max_steps(p_card)
     p_card.add_argument("--e", type=int, default=1, help="half the degree (d = 2e)")
     p_card.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p_card.add_argument("--seed", type=int, default=0, help="first seed")
@@ -257,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error; --help exits 0
+        if exc.code:
+            return EXIT_INPUT
+        raise
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, ZeroDivisionError) as exc:
+    except (FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (StepBudgetExceeded, CoefficientBlowup, GenericityError) as exc:

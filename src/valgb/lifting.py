@@ -2,12 +2,14 @@
 mod-p^m acceleration with verified lifting.
 
 Working over Z/p^m tames the coefficient blow-up of exact rational runs:
-substitute x_i -> p^(w_i) x_i, clear denominators and p-content, complete a
-basis mod p^m with weight zero, read off the initial monomial ideal, and
-reconstruct the reduced rational basis degree by degree with exact linear
-algebra.  The reconstruction fails loudly when m was too small, so the whole
-pipeline verifies over Q and retries with doubled m.  The reconstruction
-takes Q and Qp generators only; Hilbert dimensions take any field.
+substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
+p-content is left), complete a basis mod p^m with weight zero, read off the
+initial monomial ideal, and reconstruct the reduced rational basis degree by
+degree.  The reconstruction row reduces the integer coefficient rows of the
+generators' multiples fraction-free and builds Fractions only for the rows
+it returns.  It fails loudly when m was too small, so the whole pipeline
+verifies over Q and retries with doubled m.  The reconstruction takes Q and
+Qp generators only; Hilbert dimensions take any field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .groebner import (
 from .linalg import rref
 from .polynomials import (
     GREVLEX,
-    Monomial,
     Polynomial,
     mono_degree,
     mono_divides,
@@ -57,36 +58,6 @@ def _field_and_nvars(F: list):
     if any(f.field != field or f.nvars != nvars for f in F):
         raise ValueError("generator field/variable mismatch")
     return field, nvars
-
-
-def _macaulay_rows(F: list, monomials: list):
-    """Return rows(d, columns), the coefficient rows of F's degree-d multiples.
-
-    F (nonzero, over Q or Qp) and the monomials must agree on field and
-    variable count.  The generators are scaled to coprime integers once, so
-    their rows are int lists with the same row space.
-    """
-    _, nvars = _field_and_nvars(F)
-    if any(len(m) != nvars for m in monomials):
-        raise ValueError("monomial/variable mismatch")
-    gens = [
-        (f.homogeneous_degree(),
-         {m: c.numerator for m, c in clear_denominators(f).terms.items()})
-        for f in F
-    ]
-
-    def rows(d: int, columns: list[Monomial]) -> list[list[int]]:
-        index = {m: i for i, m in enumerate(columns)}
-        out = []
-        for degree, terms in gens:
-            for v in monomials_of_degree(nvars, d - degree):
-                row = [0] * len(columns)
-                for m, c in terms.items():
-                    row[index[tuple(a + b for a, b in zip(m, v))]] = c
-                out.append(row)
-        return out
-
-    return rows
 
 
 def hilbert_dim(F: list, d: int) -> int:
@@ -119,15 +90,21 @@ def lift_groebner(
     claimed initial monomials ordered first.  When the claim is consistent
     the pivots land exactly on that block and each target monomial's row is a
     reduced basis element.  F must be over Q or Qp; any other field raises
-    ``ValueError``.
+    ``ValueError``.  The generators are scaled to coprime integers, so the
+    matrix stays integer until the target rows are read.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
         raise ValueError("need at least one nonzero generator")
-    field = F[0].field
-    nvars = F[0].nvars
+    field, nvars = _field_and_nvars(F)
     monomials = [tuple(m) for m in monomials]
-    degree_rows = _macaulay_rows(F, monomials)
+    if any(len(m) != nvars for m in monomials):
+        raise ValueError("monomial/variable mismatch")
+    gens = [
+        (f.homogeneous_degree(),
+         {m: c.numerator for m, c in clear_denominators(f).terms.items()})
+        for f in F
+    ]
     targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
@@ -137,18 +114,26 @@ def lift_groebner(
         block = [m for m in all_d if any(mono_divides(t, m) for t in targets)]
         rest = [m for m in all_d if not any(mono_divides(t, m) for t in targets)]
         columns = block + rest
-        reduced, pivots = rref(degree_rows(d, columns))
+        index = {m: i for i, m in enumerate(columns)}
+        rows = []
+        for degree, terms in gens:
+            for v in monomials_of_degree(nvars, d - degree):
+                row = [0] * len(columns)
+                for m, c in terms.items():
+                    row[index[tuple(a + b for a, b in zip(m, v))]] = c
+                rows.append(row)
+        reduced, pivots, den = rref(rows)
         if pivots != list(range(len(block))):
             raise LiftInconsistent(
                 f"initial-ideal claim inconsistent in degree {d}: expected the "
                 f"first {len(block)} columns to be pivots, got {pivots}"
             )
-        col_of = {m: i for i, m in enumerate(columns)}
         for t in targets:
             if mono_degree(t) != d:
                 continue
-            row = reduced[col_of[t]]
-            terms = {m: c for m, c in zip(columns, row) if c}
+            terms = {
+                m: Fraction(c, den) for m, c in zip(columns, reduced[index[t]]) if c
+            }
             out.append(Polynomial(field, nvars, terms, _clean=True))
     return GroebnerBasis(sort_basis(out, order), order)
 
@@ -160,19 +145,6 @@ def _substitute_weights(f: Polynomial, weights, p: int) -> Polynomial:
     for m, c in f.terms.items():
         out[m] = field.mul(c, Fraction(p) ** weight_dot(weights, m))
     return Polynomial(field, f.nvars, out, _clean=True)
-
-
-def _strip_p_content(ring: ModPmRing, f: Polynomial) -> Polynomial:
-    """Divide by the largest power of p dividing every coefficient."""
-    if f.is_zero():
-        return f
-    s = min(ring.val(c) for c in f.terms.values())
-    if s == 0 or s is INF:
-        return f
-    q = ring.p**s
-    return Polynomial(
-        ring, f.nvars, {m: c // q for m, c in f.terms.items()}, _clean=True
-    )
 
 
 def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
@@ -188,7 +160,11 @@ def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
     s = min(ring.val(c) for c in f.terms.values())
     if s is INF or s >= max(1, ring.m // 2):
         return Polynomial.zero(ring, f.nvars)
-    f = _strip_p_content(ring, f)
+    if s:
+        q = ring.p**s
+        f = Polynomial(
+            ring, f.nvars, {m: c // q for m, c in f.terms.items()}, _clean=True
+        )
     return monic(f, order)
 
 
@@ -246,30 +222,23 @@ def gb_mod_pm(
         info["m_values"].append(m)
         info["retries"] = len(info["m_values"]) - 1
         ring = ModPmRing(p, m)
-        mapped = []
-        for f in substituted:
-            g = f.map_coefficients(lambda c: ring.coerce(c), ring)
-            g = _strip_p_content(ring, g)
-            if not g.is_zero():
-                mapped.append(g)
-        lifted = None
-        if mapped:
-            try:
-                modular = buchberger(
-                    mapped,
-                    zero_w,
-                    use_criteria=use_criteria,
-                    max_steps=max_steps,
-                    normalize=_modpm_normalize,
-                )
-                claimed = minimal_generators(modular.leading_monomials())
-                lifted = lift_groebner(F, order, claimed)
-            except (ValueError, AssertionError, ZeroDivisionError,
-                    StepBudgetExceeded, CoefficientBlowup):
-                # singular lift block, inexact division or violated progress
-                # invariant mod p^m: symptoms of a too-small modulus exponent
-                pass
-        if lifted is not None:
+        mapped = [f.map_coefficients(ring.coerce, ring) for f in substituted]
+        try:
+            modular = buchberger(
+                mapped,
+                zero_w,
+                use_criteria=use_criteria,
+                max_steps=max_steps,
+                normalize=_modpm_normalize,
+            )
+            claimed = minimal_generators(modular.leading_monomials())
+            lifted = lift_groebner(F, order, claimed)
+        except (ValueError, AssertionError, ZeroDivisionError,
+                StepBudgetExceeded, CoefficientBlowup):
+            # singular lift block, inexact division or violated progress
+            # invariant mod p^m: symptoms of a too-small modulus exponent
+            pass
+        else:
             # the verification is exact rational arithmetic that does not
             # depend on m, so only an exhausted budget counts as a failed
             # attempt; any other exception there is a fault and propagates

@@ -17,11 +17,18 @@ from .polynomials import GREVLEX, Polynomial, TermOrder
 from .weights import WeightedOrder, initial_form
 
 
-def initial_ideal(F: list, order: WeightedOrder, *, max_steps: int = 1_000_000) -> list:
+def initial_ideal(
+    F: list,
+    order: WeightedOrder,
+    *,
+    max_steps: int = 1_000_000,
+    max_coeff_bits: int | None = None,
+) -> list:
     """Generators of in_w(<F>) over the residue field: the initial forms of a
     reduced basis."""
     gb = reduce_basis(
-        buchberger(F, order, max_steps=max_steps), max_steps=max_steps
+        buchberger(F, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits),
+        max_steps=max_steps,
     )
     return [initial_form(g, order.weights) for g in gb.elements]
 

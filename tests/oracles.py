@@ -3,9 +3,9 @@
 Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
-the package's own division or basis machinery; the eager tangent-cone
-division at the end uses only the package's polynomials and leading terms,
-and the Macaulay rank uses only the package's integer rank.
+the package's own division, basis or elimination machinery; the eager
+tangent-cone division at the end uses only the package's polynomials and
+leading terms.
 """
 
 from __future__ import annotations
@@ -284,16 +284,34 @@ def gauss_jordan(rows):
     return m[: len(pivots)], pivots
 
 
+def bareiss_rank(rows):
+    """Rank of integer rows by forward fraction-free elimination (Bareiss
+    1968): row r becomes (pivot * r - r[col] * pivot_row) / previous pivot,
+    an exact division; rows above a pivot are left alone."""
+    m = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        found = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if found is None:
+            continue
+        m[rank], m[found] = m[found], m[rank]
+        top, pivot = m[rank], m[rank][col]
+        for mr in m[rank + 1:]:
+            f = mr[col]
+            for c in range(col, len(mr)):
+                mr[c] = (pivot * mr[c] - f * top[c]) // prev
+        rank += 1
+        prev = pivot
+    return rank
+
+
 def macaulay_dim(F, d):
     """dim <F>_d as the rank of the coefficient matrix of F's degree-d multiples.
 
     F holds homogeneous polynomials with Fraction (Q, Qp) or Q(t)
     coefficients; only their term dicts are read.  Rational rows are scaled
-    to integers and ranked by ``valgb.linalg.bareiss_rank``, Q(t) rows by
-    ``gauss_jordan``.
+    to integers and ranked by ``bareiss_rank``, Q(t) rows by ``gauss_jordan``.
     """
-    from valgb.linalg import bareiss_rank
-
     gens = [dict(f.terms) for f in F if f.terms]
     if not gens:
         return 0

@@ -113,6 +113,23 @@ def test_gb_modpm_negative_retry_budget_is_input_error(tmp_path, capsys):
     assert "failed verification" not in captured.err
 
 
+def test_initial_and_tropical_member_honour_max_coeff_bits(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "blowup.vgb",
+        "field Qp(2)\nvars x,y,z\nweight -1,-1,-2\n"
+        "ideal: -8*x^3-x*y^2-6*y^3-3*z^3, -3*x^3+x^2*y+8*x*y^2-2*y*z^2, "
+        "x^2+4*x*z-8*y*z\n",
+    )
+    for command in ("initial", "tropical-member"):
+        t0 = time.perf_counter()
+        assert main([command, path, "--max-coeff-bits", "256"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leading coefficient exceeded 256 bits after 37 steps" in captured.err
+
+
 def test_nf_golden(tmp_path, capsys):
     path = write(tmp_path, "division.vgb", DIVISION)
     assert main(["nf", path]) == 0
@@ -247,6 +264,18 @@ def test_exit_codes(tmp_path, capsys):
         "field Qp(2)\nvars x,y,z\nideal: x-2y, y-2z, z-2x\ntarget: x\n",
     )
     assert main(["nf", loopy, "--max-steps", "2"]) == 2
+
+
+def test_usage_errors_are_input_errors(tmp_path, capsys):
+    path = write(tmp_path, "bounds.vgb", "field Q\nvars x,y\nideal: x*y\n")
+    assert main(["gb"]) == 1
+    assert main(["bounds", path, "--degree-cap", "x"]) == 1
+    # bounds reads no budget, so it offers none
+    assert main(["bounds", path, "--max-steps", "5"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 def test_gb_progress_flag(tmp_path, capsys):

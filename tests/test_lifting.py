@@ -48,8 +48,7 @@ def test_bareiss_rank_against_fraction_elimination():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        frac_rows = [[Fraction(c) for c in row] for row in m]
-        _, pivots = rref(frac_rows)
+        _, pivots, _ = rref(m)
         assert bareiss_rank(m) == len(pivots)
 
 
@@ -83,9 +82,11 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
     for trial in range(300):
         m = _random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         expected = gauss_jordan(m)
-        assert rref(m) == expected, f"trial {trial}"
-        scale = lcm(*(c.denominator for row in m for c in row))
-        ints = [[int(c * scale) for c in row] for row in m]
+        ints = [[int(c * lcm(*(x.denominator for x in row))) for c in row]
+                for row in m]
+        rows, pivots, d = rref(ints)
+        reduced = [[Fraction(c, d) for c in row] for row in rows]
+        assert (reduced, pivots) == expected, f"trial {trial}"
         assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
 
 
@@ -117,11 +118,11 @@ def test_macaulay_inputs_must_agree():
 
 def test_rref_prefers_low_valuation_pivots():
     # the first column's 2-adic valuations are 1 and 0
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    reduced, pivots = rref(rows)
+    rows = [[2, 1], [1, 3]]
+    reduced, pivots, d = rref(rows)
     assert pivots == [0, 1]
-    # the identity block must be exact
-    assert reduced[0][0] == 1 and reduced[1][1] == 1
+    # the identity block must be exact after dividing by d
+    assert reduced[0][0] == d and reduced[1][1] == d
     assert reduced[0][1] == 0 and reduced[1][0] == 0
 
 
@@ -196,9 +197,15 @@ def test_lift_matches_reduced_basis_rows():
     # reduced-basis coefficients appear as reconstruction rows
     rng = random.Random("liftrows")
     f3 = Qp(3)
-    for _ in range(10):
-        gens = random_ideal(rng, f3, 3, max_degree=2, max_gens=2)
-        order = WeightedOrder(random_weights(rng, f3, 3), GREVLEX)
+    # the last inputs have non-integer rational coefficients: only the
+    # lift's clearing of each generator makes their rows integer
+    scales = (Fraction(3, 4), Fraction(5, 6))
+    for field, scaled in [(f3, False)] * 10 + [(f3, True), (QQ, True)] * 5:
+        gens = random_ideal(rng, field, 3, max_degree=2, max_gens=2)
+        if scaled:
+            gens = [f.map_coefficients(lambda c: c * rng.choice(scales)) for f in gens]
+            assert any(c.denominator > 1 for f in gens for c in f.terms.values())
+        order = WeightedOrder(random_weights(rng, field, 3), GREVLEX)
         red = reduce_basis(buchberger(gens, order))
         lifted = lift_groebner(gens, order, red.leading_monomials())
         assert lifted.elements == red.elements
@@ -364,6 +371,12 @@ def test_gb_mod_pm_nonzero_weights():
     got = gb_mod_pm(F, order)
     direct = reduce_basis(buchberger(F, order))
     assert got.elements == direct.elements
+    # non-integer rational generators
+    F = polys(f2, XYZ, "3/4y+16/5z", "5/6x+y", "x*z-1/3y^2")
+    stats = {}
+    got = gb_mod_pm(F, order, stats=stats)
+    assert not stats["fallback"]
+    assert got.elements == reduce_basis(buchberger(F, order)).elements
 
 
 def test_gb_mod_pm_negative_weights():
