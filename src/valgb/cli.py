@@ -138,7 +138,8 @@ def _cmd_tropical_member(args) -> int:
     gens = initial_ideal(problem.generators, problem.weighted_order(),
                          max_steps=args.max_steps,
                          max_coeff_bits=args.max_coeff_bits)
-    member = not contains_monomial(gens, max_steps=args.max_steps)
+    member = not contains_monomial(gens, max_steps=args.max_steps,
+                                   max_coeff_bits=args.max_coeff_bits)
     print(f"member: {'true' if member else 'false'}")
     for g in gens:
         print(f"initial: {poly_to_str(g, problem.names)}")

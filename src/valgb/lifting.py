@@ -5,11 +5,11 @@ Working over Z/p^m tames the coefficient blow-up of exact rational runs:
 substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
 p-content is left), complete a basis mod p^m with weight zero, read off the
 initial monomial ideal, and reconstruct the reduced rational basis degree by
-degree.  The reconstruction row reduces the integer coefficient rows of the
-generators' multiples fraction-free and builds Fractions only for the rows
-it returns.  It fails loudly when m was too small, so the whole pipeline
-verifies over Q and retries with doubled m.  The reconstruction takes Q and
-Qp generators only; Hilbert dimensions take any field.
+degree.  The reconstruction row reduces the generators' multiples as sparse
+primitive integer rows and builds Fractions only for the rows it returns.
+It fails loudly when m was too small, so the whole pipeline verifies over Q
+and retries with doubled m.  The reconstruction takes Q and Qp generators
+only; Hilbert dimensions take any field.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def lift_groebner(
     the pivots land exactly on that block and each target monomial's row is a
     reduced basis element.  F must be over Q or Qp; any other field raises
     ``ValueError``.  The generators are scaled to coprime integers, so the
-    matrix stays integer until the target rows are read.
+    matrix stays integer until each target row is divided by its pivot entry.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -111,9 +111,9 @@ def lift_groebner(
     out = []
     for d in sorted({mono_degree(m) for m in targets}):
         all_d = monomials_of_degree(nvars, d, order.tiebreak)
-        block = [m for m in all_d if any(mono_divides(t, m) for t in targets)]
-        rest = [m for m in all_d if not any(mono_divides(t, m) for t in targets)]
-        columns = block + rest
+        in_block = [any(mono_divides(t, m) for t in targets) for m in all_d]
+        block = [m for m, b in zip(all_d, in_block) if b]
+        columns = block + [m for m, b in zip(all_d, in_block) if not b]
         index = {m: i for i, m in enumerate(columns)}
         rows = []
         for degree, terms in gens:
@@ -122,7 +122,7 @@ def lift_groebner(
                 for m, c in terms.items():
                     row[index[tuple(a + b for a, b in zip(m, v))]] = c
                 rows.append(row)
-        reduced, pivots, den = rref(rows)
+        reduced, pivots = rref(rows)
         if pivots != list(range(len(block))):
             raise LiftInconsistent(
                 f"initial-ideal claim inconsistent in degree {d}: expected the "
@@ -131,9 +131,9 @@ def lift_groebner(
         for t in targets:
             if mono_degree(t) != d:
                 continue
-            terms = {
-                m: Fraction(c, den) for m, c in zip(columns, reduced[index[t]]) if c
-            }
+            row = reduced[index[t]]
+            den = row[index[t]]
+            terms = {columns[c]: Fraction(row[c], den) for c in sorted(row)}
             out.append(Polynomial(field, nvars, terms, _clean=True))
     return GroebnerBasis(sort_basis(out, order), order)
 

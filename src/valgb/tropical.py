@@ -46,7 +46,13 @@ def _strip_variable(f: Polynomial, var: int) -> Polynomial:
     return Polynomial(f.field, f.nvars, out, _clean=True)
 
 
-def saturate_variable(gens: list, var: int, *, max_steps: int = 1_000_000) -> list:
+def saturate_variable(
+    gens: list,
+    var: int,
+    *,
+    max_steps: int = 1_000_000,
+    max_coeff_bits: int | None = None,
+) -> list:
     """Generators of (I : x_var^inf) for homogeneous I over a residue field.
 
     The result is a basis of the saturation under grevlex with x_var least
@@ -58,7 +64,7 @@ def saturate_variable(gens: list, var: int, *, max_steps: int = 1_000_000) -> li
     # grevlex with the saturating variable least significant
     priority = tuple(i for i in range(nvars) if i != var) + (var,)
     order = WeightedOrder((0,) * nvars, TermOrder("grevlex", priority))
-    basis = buchberger(gens, order, max_steps=max_steps)
+    basis = buchberger(gens, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits)
     return [_strip_variable(g, var) for g in basis.elements]
 
 
@@ -66,7 +72,9 @@ def _has_constant(gens: list) -> bool:
     return any(g.degree() == 0 for g in gens if not g.is_zero())
 
 
-def contains_monomial(gens: list, *, max_steps: int = 1_000_000) -> bool:
+def contains_monomial(
+    gens: list, *, max_steps: int = 1_000_000, max_coeff_bits: int | None = None
+) -> bool:
     """Does a homogeneous residue-field ideal contain a monomial?
 
     Saturates by each variable once, in turn.  The last saturation returns a
@@ -83,15 +91,25 @@ def contains_monomial(gens: list, *, max_steps: int = 1_000_000) -> bool:
     for var in range(gens[0].nvars):
         if _has_constant(current):
             return True
-        current = saturate_variable(current, var, max_steps=max_steps)
+        current = saturate_variable(
+            current, var, max_steps=max_steps, max_coeff_bits=max_coeff_bits
+        )
     return _has_constant(current)
 
 
 def in_tropical_variety(
-    F: list, weights, tiebreak: TermOrder = GREVLEX, *, max_steps: int = 1_000_000
+    F: list,
+    weights,
+    tiebreak: TermOrder = GREVLEX,
+    *,
+    max_steps: int = 1_000_000,
+    max_coeff_bits: int | None = None,
 ) -> bool:
-    """Tropical membership of an integer weight vector for homogeneous F."""
+    """Tropical membership of an integer weight vector for homogeneous F.
+
+    ``max_steps`` and ``max_coeff_bits`` bound every completion on the way,
+    the one for the initial ideal and each saturation.
+    """
     order = WeightedOrder(tuple(weights), tiebreak)
-    return not contains_monomial(
-        initial_ideal(F, order, max_steps=max_steps), max_steps=max_steps
-    )
+    limits = dict(max_steps=max_steps, max_coeff_bits=max_coeff_bits)
+    return not contains_monomial(initial_ideal(F, order, **limits), **limits)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -48,7 +48,8 @@ def test_bareiss_rank_against_fraction_elimination():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        _, pivots, _ = rref(m)
+        _, pivots = rref(m)
+        assert pivots == gauss_jordan(m)[1]
         assert bareiss_rank(m) == len(pivots)
 
 
@@ -77,6 +78,11 @@ def _random_fraction_matrix(rng, nrows, ncols):
     return m
 
 
+def _dense_rref_row(row, pivot, ncols):
+    """A sparse rref row divided by its pivot entry, as a dense Fraction row."""
+    return [Fraction(row.get(c, 0), row[pivot]) for c in range(ncols)]
+
+
 def test_rref_and_rank_against_gauss_jordan_oracle():
     rng = random.Random("rref-oracle")
     for trial in range(300):
@@ -84,9 +90,9 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
         expected = gauss_jordan(m)
         ints = [[int(c * lcm(*(x.denominator for x in row))) for c in row]
                 for row in m]
-        rows, pivots, d = rref(ints)
-        reduced = [[Fraction(c, d) for c in row] for row in rows]
-        assert (reduced, pivots) == expected, f"trial {trial}"
+        rows, pivots = rref(ints)
+        assert ([_dense_rref_row(r, p, len(m[0])) for r, p in zip(rows, pivots)],
+                pivots) == expected, f"trial {trial}"
         assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
 
 
@@ -119,11 +125,54 @@ def test_macaulay_inputs_must_agree():
 def test_rref_prefers_low_valuation_pivots():
     # the first column's 2-adic valuations are 1 and 0
     rows = [[2, 1], [1, 3]]
-    reduced, pivots, d = rref(rows)
+    reduced, pivots = rref(rows)
     assert pivots == [0, 1]
-    # the identity block must be exact after dividing by d
-    assert reduced[0][0] == d and reduced[1][1] == d
-    assert reduced[0][1] == 0 and reduced[1][0] == 0
+    # primitive rows with positive pivots: the identity block is exact
+    assert reduced == [{0: 1}, {1: 1}]
+
+
+def _macaulay_shaped(rng):
+    """Sparse integer rows as Macaulay matrices have them: 1-4 nonzeros per
+    row, with duplicate and scaled rows, negative leading entries and zero
+    rows mixed in."""
+    ncols = rng.randint(5, 60)
+    m = []
+    for _ in range(rng.randint(5, 40)):
+        kind = rng.random()
+        if m and kind < 0.15:
+            m.append(list(rng.choice(m)))
+        elif m and kind < 0.3:
+            k = rng.choice([-3, -2, 2, 5])
+            m.append([k * c for c in rng.choice(m)])
+        elif kind < 0.35:
+            m.append([0] * ncols)
+        else:
+            row = [0] * ncols
+            for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols))):
+                row[c] = rng.choice([-1, 1]) * rng.randint(1, 12)
+            m.append(row)
+    return m
+
+
+def test_sparse_rref_on_macaulay_shaped_rows():
+    rng = random.Random("sparse-rref")
+    for trial in range(200):
+        m = _macaulay_shaped(rng)
+        ncols = len(m[0])
+        rows, pivots = rref(m)
+        expected = gauss_jordan(m)
+        assert ([_dense_rref_row(r, p, ncols) for r, p in zip(rows, pivots)],
+                pivots) == expected, f"trial {trial}"
+        for row, p in zip(rows, pivots):
+            assert gcd(*row.values()) == 1 and row[p] > 0, f"trial {trial}"
+            assert all(c not in row for c in pivots if c != p), f"trial {trial}"
+            assert all(row.values()), f"trial {trial}"
+
+
+def test_rref_empty_and_zero_rows():
+    assert rref([]) == ([], [])
+    assert rref([[0, 0]]) == ([], [])
+    assert bareiss_rank([]) == 0
 
 
 def test_clear_denominators():

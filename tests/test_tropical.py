@@ -1,8 +1,11 @@
 """Initial ideals, saturation-based monomial detection, tropical membership."""
 
+import time
+
 import pytest
 
 from valgb import (
+    CoefficientBlowup,
     GF,
     GREVLEX,
     Polynomial,
@@ -135,3 +138,22 @@ def test_membership_padic():
     assert in_tropical_variety(F, (1, 0))  # both terms weight 1: x + y survives
     assert not in_tropical_variety(F, (0, 0))  # x alone
     assert not in_tropical_variety(F, (3, 0))  # y alone
+
+
+def test_membership_honours_max_coeff_bits():
+    F = polys(Qp(2), XYZ, "-8*x^3-x*y^2-6*y^3-3*z^3",
+              "-3*x^3+x^2*y+8*x*y^2-2*y*z^2", "x^2+4*x*z-8*y*z")
+    t0 = time.perf_counter()
+    with pytest.raises(CoefficientBlowup, match="exceeded 256 bits after 37 steps"):
+        in_tropical_variety(F, (-1, -1, -2), max_coeff_bits=256)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_saturation_honours_max_coeff_bits():
+    # the breaker reaches each saturation's completion, not only the first
+    F = polys(QQ, XYZ, "x*y-3*y^2+7*z^2", "x^2-5*y*z")
+    assert not contains_monomial(F)
+    with pytest.raises(CoefficientBlowup):
+        contains_monomial(F, max_coeff_bits=4)
+    with pytest.raises(CoefficientBlowup):
+        saturate_variable(F, 0, max_coeff_bits=4)
