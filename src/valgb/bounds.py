@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lifting import clear_denominators, hilbert_dim
-from .weights import WeightedOrder
 
 
 def dube_degree_bound(n: int, d: int) -> int:
@@ -58,9 +57,7 @@ class BoundReport:
     truncated: bool
 
 
-def effective_valuation_bound(
-    F: list, p: int, order: WeightedOrder, degree_cap: int = 64
-) -> BoundReport:
+def effective_valuation_bound(F: list, p: int, degree_cap: int = 64) -> BoundReport:
     """Evaluate the valuation bound for concrete generators.
 
     The bound degree is double exponential in the variable count, so it is

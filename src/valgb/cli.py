@@ -83,7 +83,8 @@ def _cmd_gb(args) -> int:
     for g in basis.elements:
         _print_poly(g, problem)
     if args.verify:
-        ok = is_basis_of(basis, problem.generators, max_steps=args.max_steps)
+        ok = is_basis_of(basis, problem.generators, max_steps=args.max_steps,
+                         max_coeff_bits=args.max_coeff_bits)
         print(f"verified: {'true' if ok else 'false'}")
         if not ok:
             return EXIT_BUDGET
@@ -159,8 +160,7 @@ def _cmd_bounds(args) -> int:
     print(f"D = {dube_degree_bound(n, d)}")
     if isinstance(problem.field, QpField):
         report = effective_valuation_bound(
-            problem.generators, problem.field.p, problem.weighted_order(),
-            degree_cap=args.degree_cap,
+            problem.generators, problem.field.p, degree_cap=args.degree_cap,
         )
         print(f"C = {report.coeff_bound}")
         print(f"evaluated_degree = {report.evaluated_degree}")

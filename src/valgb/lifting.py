@@ -31,6 +31,7 @@ from .linalg import rref
 from .polynomials import (
     GREVLEX,
     Polynomial,
+    compositions,
     mono_degree,
     mono_divides,
     monomials_of_degree,
@@ -108,16 +109,25 @@ def lift_groebner(
     targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
+    # each degree's monomials, enumerated once and unsorted: the pivot check
+    # pins the rank, so the target rows depend on neither row nor column order
+    by_degree = {}
+
+    def of_degree(d):
+        if d not in by_degree:
+            by_degree[d] = list(compositions(nvars, d))
+        return by_degree[d]
+
     out = []
     for d in sorted({mono_degree(m) for m in targets}):
-        all_d = monomials_of_degree(nvars, d, order.tiebreak)
+        all_d = of_degree(d)
         in_block = [any(mono_divides(t, m) for t in targets) for m in all_d]
         block = [m for m, b in zip(all_d, in_block) if b]
         columns = block + [m for m, b in zip(all_d, in_block) if not b]
         index = {m: i for i, m in enumerate(columns)}
         rows = []
         for degree, terms in gens:
-            for v in monomials_of_degree(nvars, d - degree):
+            for v in of_degree(d - degree):
                 row = [0] * len(columns)
                 for m, c in terms.items():
                     row[index[tuple(a + b for a, b in zip(m, v))]] = c

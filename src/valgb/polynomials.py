@@ -271,23 +271,23 @@ class Polynomial:
         return poly_to_str(self)
 
 
-def monomials_of_degree(nvars: int, d: int, order: TermOrder | None = None) -> list[Monomial]:
-    """All degree-d monomials in nvars variables, sorted descending."""
+def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
+    """All degree-d monomials in nvars variables, sorted descending in grevlex."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    out = list(_compositions(nvars, d))
-    key = (order or GREVLEX).sort_key
-    out.sort(key=key, reverse=True)
+    out = list(compositions(nvars, d))
+    out.sort(key=GREVLEX.sort_key, reverse=True)
     return out
 
 
-def _compositions(nvars: int, d: int) -> Iterator[Monomial]:
+def compositions(nvars: int, d: int) -> Iterator[Monomial]:
+    """All degree-d monomials in nvars variables, in no term order."""
     if nvars == 1:
         if d >= 0:
             yield (d,)
         return
     for first in range(d, -1, -1):
-        for rest in _compositions(nvars - 1, d - first):
+        for rest in compositions(nvars - 1, d - first):
             yield (first,) + rest
 
 

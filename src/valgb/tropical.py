@@ -1,5 +1,12 @@
 """Initial ideals over the residue field and tropical point membership.
 
+For any Groebner basis G of I under the weighted order, the initial forms
+in_w(g), g in G, are a Groebner basis of in_w(I) under the tiebreak order,
+since in_tiebreak(in_w(I)) = in_w,tiebreak(I) (Maclagan-Sturmfels,
+Introduction to Tropical Geometry, Section 2.4).  So the reduced basis of
+in_w(I) is found by reducing those forms over the residue field, and the
+valued basis is never tail-reduced.
+
 A weight vector w lies in the tropical variety of a homogeneous ideal
 exactly when the initial ideal in_w(I) contains no monomial, and a
 homogeneous ideal contains a monomial iff saturating it by the product of
@@ -12,7 +19,7 @@ power of the variable.
 
 from __future__ import annotations
 
-from .groebner import buchberger, reduce_basis
+from .groebner import GroebnerBasis, buchberger, reduce_basis
 from .polynomials import GREVLEX, Polynomial, TermOrder
 from .weights import WeightedOrder, initial_form
 
@@ -24,13 +31,19 @@ def initial_ideal(
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = None,
 ) -> list:
-    """Generators of in_w(<F>) over the residue field: the initial forms of a
-    reduced basis."""
-    gb = reduce_basis(
-        buchberger(F, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits),
-        max_steps=max_steps,
-    )
-    return [initial_form(g, order.weights) for g in gb.elements]
+    """The reduced basis of in_w(<F>) over the residue field, in tiebreak order.
+
+    The initial forms of any basis of <F> are a Groebner basis of in_w(<F>)
+    for the tiebreak, so the forms of the unreduced basis are reduced over
+    the residue field (GF(p) for Qp, Q for Q and Q(t)), where the valuation
+    is trivial and weight zero leaves the tiebreak alone.
+    """
+    gb = buchberger(F, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits)
+    forms = [initial_form(g, order.weights) for g in gb.elements]
+    residue_order = WeightedOrder((0,) * order.nvars, order.tiebreak)
+    return reduce_basis(
+        GroebnerBasis(forms, residue_order), max_steps=max_steps
+    ).elements
 
 
 def _strip_variable(f: Polynomial, var: int) -> Polynomial:

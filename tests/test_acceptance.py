@@ -235,7 +235,7 @@ def test_criterion_09_bounds():
         basis = reduce_basis(buchberger(gens, order))
         basis_degree = max(g.degree() for g in basis.elements)
         cap = max(8, basis_degree)
-        bound = effective_valuation_bound(gens, p, order, degree_cap=cap)
+        bound = effective_valuation_bound(gens, p, degree_cap=cap)
         # a truncated bound is only claimed when the basis fits under the cap
         assert basis_degree <= bound.evaluated_degree
         worst = max(field.val(c) for g in basis.elements for c in g.terms.values())

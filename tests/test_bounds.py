@@ -16,7 +16,7 @@ from valgb import (
 )
 from valgb.bounds import ceil_log
 
-from conftest import polys, zero_order
+from conftest import polys
 
 
 def test_degree_bound_values():
@@ -64,7 +64,7 @@ def test_bounds_monotone():
 def test_effective_bound_principal():
     f2 = Qp(2)
     F = polys(f2, "x,y,z", "x+z")
-    report = effective_valuation_bound(F, 2, zero_order(3), degree_cap=32)
+    report = effective_valuation_bound(F, 2, degree_cap=32)
     # delta = 1 so the bound degree is ceil(2 * (3/2)^2) = 5, uncapped
     assert report.degree_bound == 5
     assert report.evaluated_degree == 5
@@ -74,7 +74,7 @@ def test_effective_bound_principal():
 
 
 def test_effective_bound_zero_ideal():
-    report = effective_valuation_bound([], 2, zero_order(3))
+    report = effective_valuation_bound([], 2)
     assert report.valuation_bound == 0
 
 
@@ -82,13 +82,13 @@ def test_effective_bound_rejects_non_rational_coefficients():
     from valgb import Qt
 
     with pytest.raises(ValueError):
-        effective_valuation_bound(polys(Qt(), "x,y", "t*x+y"), 2, zero_order(2))
+        effective_valuation_bound(polys(Qt(), "x,y", "t*x+y"), 2)
 
 
 def test_effective_bound_truncation_flag():
     f2 = Qp(2)
     F = polys(f2, "x,y,z", "x^2+y^2+z^2", "x*y")
-    report = effective_valuation_bound(F, 2, zero_order(3), degree_cap=6)
+    report = effective_valuation_bound(F, 2, degree_cap=6)
     assert report.degree_bound == 32
     assert report.evaluated_degree == 6
     assert report.truncated
@@ -100,7 +100,7 @@ def test_bound_dominates_actual_valuations():
     order = WeightedOrder((3, 2, 1), GREVLEX)
     basis = reduce_basis(buchberger(F, order))
     max_deg = max(g.degree() for g in basis.elements)
-    report = effective_valuation_bound(F, 2, order, degree_cap=8)
+    report = effective_valuation_bound(F, 2, degree_cap=8)
     assert max_deg <= report.evaluated_degree
     worst = max(
         f2.val(c) for g in basis.elements for c in g.terms.values()

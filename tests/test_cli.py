@@ -1,10 +1,14 @@
 """End-to-end command-line behavior with golden outputs and exit codes."""
 
+import random
 import time
 
 import pytest
 
+import valgb.cli
+from valgb.cardinality import sample_pair
 from valgb.cli import main
+from valgb.polynomials import poly_to_str
 
 
 def write(tmp_path, name, text):
@@ -43,6 +47,21 @@ def test_gb_verify_flag(tmp_path, capsys):
     assert main(["gb", path, "--verify"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "verified: true"
+
+
+def test_gb_verify_honours_max_coeff_bits(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = valgb.cli.is_basis_of
+
+    def recorder(*args, **kwargs):
+        seen.append(kwargs.get("max_coeff_bits"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(valgb.cli, "is_basis_of", recorder)
+    path = write(tmp_path, "family.vgb", QT_FAMILY)
+    assert main(["gb", path, "--verify", "--max-coeff-bits", "4096"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verified: true"
+    assert seen == [4096]
 
 
 def test_gb_no_criteria_same_output(tmp_path, capsys):
@@ -128,6 +147,28 @@ def test_initial_and_tropical_member_honour_max_coeff_bits(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "leading coefficient exceeded 256 bits after 37 steps" in captured.err
+
+
+def test_initial_and_tropical_member_on_cardinality_pair(tmp_path, capsys):
+    # the valued tail reduction of this pair ran for minutes; the initial
+    # ideal comes from the initial forms, reduced over GF(2)
+    names = ["x1", "x2", "x3"]
+    pair = sample_pair(3, random.Random("cardinality-3-0-0"))
+    path = write(
+        tmp_path,
+        "pair.vgb",
+        "field Qp(2)\nvars x1,x2,x3\nideal: "
+        + ", ".join(poly_to_str(f, names) for f in pair) + "\n",
+    )
+    expected = {
+        "initial": ["x1^6", "x2^3*x3^3"],
+        "tropical-member": ["member: false", "initial: x1^6", "initial: x2^3*x3^3"],
+    }
+    for command, lines in expected.items():
+        t0 = time.process_time()
+        assert main([command, path, "--max-coeff-bits", "4096"]) == 0
+        assert time.process_time() - t0 < 1.0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_nf_golden(tmp_path, capsys):

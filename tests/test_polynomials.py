@@ -116,7 +116,7 @@ def test_priority_validation():
 
 
 def test_monomials_of_degree():
-    assert monomials_of_degree(2, 2, LEX) == [(2, 0), (1, 1), (0, 2)]
+    assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials_of_degree(3, 0) == [(0, 0, 0)]
     assert len(monomials_of_degree(3, 2)) == 6
     assert len(monomials_of_degree(4, 5)) == 56  # C(8, 5)

@@ -1,5 +1,6 @@
 """Initial ideals, saturation-based monomial detection, tropical membership."""
 
+import random
 import time
 
 import pytest
@@ -8,15 +9,22 @@ from valgb import (
     CoefficientBlowup,
     GF,
     GREVLEX,
+    LEX,
     Polynomial,
     QQ,
     Qp,
     Qt,
+    TermOrder,
     WeightedOrder,
+    buchberger,
     contains_monomial,
+    gb_mod_pm,
     in_tropical_variety,
+    initial_form,
     initial_ideal,
+    reduce_basis,
 )
+from valgb.cardinality import sample_pair
 from valgb.tropical import saturate_variable
 
 from conftest import P, polys, random_homogeneous, to_oracle
@@ -43,6 +51,54 @@ def test_initial_ideal_principal_padic():
     F = polys(Qp(3), "x,y", "3x^2+x*y+18y^2")
     gens = initial_ideal(F, WeightedOrder((2, 0), GREVLEX))
     assert gens == polys(GF(3), "x,y", "x*y+2y^2")
+
+
+def test_initial_ideal_equals_forms_of_valued_reduced_basis():
+    # the former definition: initial forms of the basis reduced over the
+    # valued field, which equals the reduced basis of in_w(I) over the residue
+    # field, order of elements included
+    rng = random.Random("initial-ideal-equality")
+    fields = [Qp(2), Qp(3), Qp(5), QQ, Qt()]
+    budget = 2000
+    compared = 0
+    for trial in range(150):
+        field = fields[trial % len(fields)]
+        nvars = rng.randint(2, 4)
+        tiebreak = [GREVLEX, LEX, TermOrder("grevlex", tuple(reversed(range(nvars))))][
+            trial // len(fields) % 3
+        ]
+        w = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        if not any(w):
+            w = (1,) + w[1:]
+        F = [
+            random_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=4)
+            for _ in range(rng.randint(1, 3))
+        ]
+        order = WeightedOrder(w, tiebreak)
+        try:
+            gb = buchberger(F, order, max_coeff_bits=budget)
+        except CoefficientBlowup:
+            with pytest.raises(CoefficientBlowup):
+                initial_ideal(F, order, max_coeff_bits=budget)
+            continue
+        expected = [initial_form(g, w) for g in reduce_basis(gb).elements]
+        got = initial_ideal(F, order, max_coeff_bits=budget)
+        assert got == expected, f"trial {trial}: {[str(f) for f in F]} at {w}"
+        assert all(g.field == field.residue_field() for g in got)
+        compared += 1
+    assert compared >= 120
+
+
+def test_initial_ideal_of_cardinality_pair_is_fast():
+    # tail reduction over Qp(2) runs for minutes on this pair; over GF(2) the
+    # initial forms of the unreduced basis are already reduced
+    F = list(sample_pair(3, random.Random("cardinality-3-0-0")))
+    order = WeightedOrder((0, 0, 0), GREVLEX)
+    t0 = time.process_time()
+    gens = initial_ideal(F, order, max_coeff_bits=4096)
+    assert time.process_time() - t0 < 1.0
+    assert gens == polys(GF(2), "x1,x2,x3", "x1^6", "x2^3*x3^3")
+    assert gens == [initial_form(g, order.weights) for g in gb_mod_pm(F, order).elements]
 
 
 def test_contains_monomial_basics():
