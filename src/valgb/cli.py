@@ -44,6 +44,10 @@ def _print_poly(poly, problem: ProblemFile):
 
 
 def _cmd_gb(args) -> int:
+    if args.modpm is not None and args.progress:
+        raise ValueError("--progress applies only without --modpm")
+    if args.modpm is None and args.retry_budget is not None:
+        raise ValueError("--retry-budget applies only with --modpm")
     problem = _load_problem(args.file)
     _require_homogeneous(problem)
     order = problem.weighted_order()
@@ -52,13 +56,15 @@ def _cmd_gb(args) -> int:
         if not isinstance(problem.field, QpField):
             raise ParseError("--modpm requires a Qp(p) field", 1, 1)
         stats: dict = {}
+        # an option not given keeps gb_mod_pm's own default
         if args.max_coeff_bits is None:
-            del limits["max_coeff_bits"]  # keep gb_mod_pm's own default
+            del limits["max_coeff_bits"]
+        if args.retry_budget is not None:
+            limits["retry_budget"] = args.retry_budget
         basis = gb_mod_pm(
             problem.generators,
             order,
             m=args.modpm,
-            retry_budget=args.retry_budget,
             use_criteria=not args.no_criteria,
             stats=stats,
             **limits,
@@ -216,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="disable the S-pair skip criteria")
     p_gb.add_argument("--modpm", type=int, default=None, metavar="M",
                       help="run through Z/p^M with verified lifting")
-    p_gb.add_argument("--retry-budget", type=int, default=5,
-                      help="mod-p^m retry doublings (default 5)")
+    p_gb.add_argument("--retry-budget", type=int, default=None,
+                      help="mod-p^m retry doublings, with --modpm (default 5)")
     p_gb.add_argument("--verify", action="store_true",
                       help="re-check the basis property after computing")
     p_gb.add_argument("--progress", action="store_true",
-                      help="report pair progress on stderr")
+                      help="report pair progress on stderr (not with --modpm)")
     p_gb.set_defaults(func=_cmd_gb)
 
     p_nf = sub.add_parser("nf", help="normal form with quotient certificate")

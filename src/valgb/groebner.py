@@ -4,14 +4,23 @@ A finite set G is a basis for the ideal it generates when the initial forms
 of its elements generate the full initial ideal; equivalently every
 S-polynomial of two elements divides to zero against G.  The reduced basis
 (minimal, monic, tail-reduced) is unique for a fixed ideal and order.
+
+Valued division reduces S-polynomials and verifies bases.  Over Q and Qp the
+reduced basis is read off one sparse integer RREF per degree instead (F4's
+symbolic preprocessing, Faugere 1999), so its entries are ratios of minors;
+the lift of ``lifting.gb_mod_pm`` reads its rows with the same routine.
+Q(t), GF(p) and Z/p^m tail-reduce by division.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
-from .division import normal_form
+from .division import _integer_terms, normal_form
+from .fields import QpField, RationalField
+from .linalg import rref
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -200,12 +209,95 @@ def sort_basis(elements: list, order: WeightedOrder) -> list:
     return out
 
 
+def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
+    """The reduced element of each target monomial, read off the RREF of
+    integer term-dict rows whose columns put the block monomials first.
+
+    Returns None unless the pivots are exactly the block; otherwise row t of
+    the RREF, divided by its pivot entry, is the element for target t (the
+    targets lie in the block).  The RREF is unique, so neither the row order
+    nor the order of the columns within and after the block matters.
+    """
+    index = {m: i for i, m in enumerate(block)}
+    for terms in rows:
+        for m in terms:
+            if m not in index:
+                index[m] = len(index)
+    columns = list(index)
+    dense = []
+    for terms in rows:
+        row = [0] * len(columns)
+        for m, c in terms.items():
+            row[index[m]] = c
+        dense.append(row)
+    reduced, pivots = rref(dense)
+    if pivots != list(range(len(block))):
+        return None
+    out = []
+    for t in targets:
+        row = reduced[index[t]]
+        den = row[index[t]]
+        terms = {columns[c]: Fraction(v, den) for c, v in row.items()}
+        out.append(Polynomial(field, nvars, terms, _clean=True))
+    return out
+
+
+def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
+    """Reduced elements for the targets over Q or Qp, one degree at a time.
+
+    The rows start with the element whose leading monomial is each target;
+    every leading-ideal monomial met in a row that has no row yet gets one
+    multiple x^v*g with x^v*lm(g) equal to it (symbolic preprocessing).  The
+    rows' leading monomials are pairwise distinct, so the rows are
+    independent under any weighted order, and on a basis no nonzero
+    combination avoids the leading ideal: the pivots are exactly the block.
+    """
+    field, nvars = elements[0].field, elements[0].nvars
+    reducer = {}
+    for g, lm in zip(elements, lms):
+        if lm not in reducer:
+            reducer[lm] = _integer_terms(g)[0]
+    out = []
+    for d in sorted({mono_degree(t) for t in targets}):
+        of_degree = [t for t in targets if mono_degree(t) == d]
+        divisors = [t for t in targets if mono_degree(t) <= d]
+        block = list(of_degree)  # the rows' leading monomials, in row order
+        source = {t: t for t in of_degree}  # the target whose multiple is m's row
+        outside = set()
+        rows = []
+        for m in block:  # grows while it is read
+            v = mono_div(m, source[m])
+            terms = reducer[source[m]]
+            if any(v):
+                terms = {mono_mul(u, v): c for u, c in terms.items()}
+            rows.append(terms)
+            for u in terms:
+                if u in source or u in outside:
+                    continue
+                divisor = next((t for t in divisors if mono_divides(t, u)), None)
+                if divisor is None:
+                    outside.add(u)
+                else:
+                    source[u] = divisor
+                    block.append(u)
+        got = _reduced_rows(field, nvars, rows, block, of_degree)
+        if got is None:
+            raise AssertionError(
+                f"distinct leading monomials gave a singular block in degree {d}"
+            )
+        out.extend(got)
+    return out
+
+
 def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBasis:
     """The unique reduced basis: minimal leading monomials, monic, tail-reduced.
 
-    For each minimal leading monomial x^u the element x^u - r is emitted,
-    where r is the normal form of x^u against the full basis; its support
-    therefore avoids every other leading monomial.
+    The input must be a Groebner basis.  For each minimal leading monomial
+    x^u the element x^u - r is emitted, where r is the unique combination of
+    monomials outside the leading ideal with x^u - r in the ideal.  Over Q
+    and Qp it is read off a sparse integer RREF (``_reduce_by_elimination``),
+    whose entries are bounded by minors; over other fields r is the normal
+    form of x^u against the basis, within ``max_steps`` division steps.
     """
     elements = [g for g in gb.elements if not g.is_zero()]
     if not elements:
@@ -213,12 +305,22 @@ def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBa
     order = gb.order
     fld = elements[0].field
     n = elements[0].nvars
-    targets = minimal_generators([leading_term(g, order)[1] for g in elements])
-    out = []
-    for m in targets:
-        target = Polynomial.term(fld, n, m, fld.one())
-        r = normal_form(target, elements, order, max_steps=max_steps).remainder
-        out.append(target - r)
+    if any(g.field != fld or g.nvars != n for g in elements):
+        raise ValueError("basis field/variable mismatch")
+    if order.nvars != n:
+        raise ValueError("order/variable mismatch")
+    lms = [leading_term(g, order)[1] for g in elements]
+    targets = minimal_generators(lms)
+    if isinstance(fld, (RationalField, QpField)):
+        if not all(g.is_homogeneous() for g in elements):
+            raise ValueError("basis elements must be homogeneous")
+        out = _reduce_by_elimination(elements, lms, targets)
+    else:
+        out = []
+        for m in targets:
+            target = Polynomial.term(fld, n, m, fld.one())
+            r = normal_form(target, elements, order, max_steps=max_steps).remainder
+            out.append(target - r)
     return GroebnerBasis(sort_basis(out, order), order)
 
 

@@ -5,11 +5,13 @@ Working over Z/p^m tames the coefficient blow-up of exact rational runs:
 substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
 p-content is left), complete a basis mod p^m with weight zero, read off the
 initial monomial ideal, and reconstruct the reduced rational basis degree by
-degree.  The reconstruction row reduces the generators' multiples as sparse
-primitive integer rows and builds Fractions only for the rows it returns.
-It fails loudly when m was too small, so the whole pipeline verifies over Q
-and retries with doubled m.  The reconstruction takes Q and Qp generators
-only; Hilbert dimensions take any field.
+degree.  The reconstruction row reduces all the generators' multiples of
+each degree as primitive integer rows and builds Fractions only for the rows
+it returns.  It reads the RREF with the routine that gives ``reduce_basis``
+its reduced bases over Q and Qp; only the rows differ, since the generators
+are not a basis.  It fails loudly when m was too small, so the whole
+pipeline verifies over Q and retries with doubled m.  The reconstruction
+takes Q and Qp generators only; Hilbert dimensions take any field.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .division import CoefficientBlowup, StepBudgetExceeded, primitive_factor
 from .fields import INF, ModPmRing, QQ, QpField, padic_valuation
 from .groebner import (
     GroebnerBasis,
+    _reduced_rows,
     buchberger,
     is_basis_of,
     minimal_generators,
@@ -27,7 +30,6 @@ from .groebner import (
     reduce_basis,
     sort_basis,
 )
-from .linalg import rref
 from .polynomials import (
     GREVLEX,
     Polynomial,
@@ -90,9 +92,10 @@ def lift_groebner(
     coefficient matrix of all degree-d multiples of F is row reduced with the
     claimed initial monomials ordered first.  When the claim is consistent
     the pivots land exactly on that block and each target monomial's row is a
-    reduced basis element.  F must be over Q or Qp; any other field raises
-    ``ValueError``.  The generators are scaled to coprime integers, so the
-    matrix stays integer until each target row is divided by its pivot entry.
+    reduced basis element; otherwise ``LiftInconsistent`` is raised.  F must
+    be over Q or Qp; any other field raises ``ValueError``.  The generators
+    are scaled to coprime integers, so the matrix stays integer until each
+    target row is divided by its pivot entry.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -120,31 +123,21 @@ def lift_groebner(
 
     out = []
     for d in sorted({mono_degree(m) for m in targets}):
-        all_d = of_degree(d)
-        in_block = [any(mono_divides(t, m) for t in targets) for m in all_d]
-        block = [m for m, b in zip(all_d, in_block) if b]
-        columns = block + [m for m, b in zip(all_d, in_block) if not b]
-        index = {m: i for i, m in enumerate(columns)}
+        block = [m for m in of_degree(d) if any(mono_divides(t, m) for t in targets)]
         rows = []
         for degree, terms in gens:
             for v in of_degree(d - degree):
-                row = [0] * len(columns)
-                for m, c in terms.items():
-                    row[index[tuple(a + b for a, b in zip(m, v))]] = c
-                rows.append(row)
-        reduced, pivots = rref(rows)
-        if pivots != list(range(len(block))):
+                rows.append({tuple(a + b for a, b in zip(m, v)): c
+                             for m, c in terms.items()})
+        got = _reduced_rows(
+            field, nvars, rows, block, [t for t in targets if mono_degree(t) == d]
+        )
+        if got is None:
             raise LiftInconsistent(
-                f"initial-ideal claim inconsistent in degree {d}: expected the "
-                f"first {len(block)} columns to be pivots, got {pivots}"
+                f"initial-ideal claim inconsistent in degree {d}: the first "
+                f"{len(block)} columns are not exactly the pivots"
             )
-        for t in targets:
-            if mono_degree(t) != d:
-                continue
-            row = reduced[index[t]]
-            den = row[index[t]]
-            terms = {columns[c]: Fraction(row[c], den) for c in sorted(row)}
-            out.append(Polynomial(field, nvars, terms, _clean=True))
+        out.extend(got)
     return GroebnerBasis(sort_basis(out, order), order)
 
 

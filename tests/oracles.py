@@ -3,9 +3,10 @@
 Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
-the package's own division, basis or elimination machinery; the eager
-tangent-cone division at the end uses only the package's polynomials and
-leading terms.
+the package's own division, basis or elimination machinery, except two
+earlier package algorithms kept as references for their replacements: the
+eager tangent-cone division uses only the package's polynomials and leading
+terms, and the division tail reduction uses the package's division.
 """
 
 from __future__ import annotations
@@ -425,3 +426,36 @@ def eager_normal_form(f, divisors, order, max_coeff_bits=None):
         log.append((q_start, r_start, action, len(T)))
         steps += 1
     return h, r, steps, log
+
+
+# -- tail reduction by division ---------------------------------------------------
+
+
+def division_reduce_basis(gb, *, max_steps=1_000_000, max_coeff_bits=None):
+    """The unique reduced basis: minimal leading monomials, monic, tail-reduced.
+
+    This is the package's earlier ``reduce_basis``, kept as the reference for
+    the elimination one; only ``max_coeff_bits`` is new, and it is passed to
+    every division.  For each minimal leading monomial x^u the element
+    x^u - r is emitted, where r is the normal form of x^u against the full
+    basis; its support therefore avoids every other leading monomial.
+    """
+    from valgb.division import normal_form
+    from valgb.groebner import GroebnerBasis, minimal_generators, sort_basis
+    from valgb.polynomials import Polynomial
+    from valgb.weights import leading_term
+
+    elements = [g for g in gb.elements if not g.is_zero()]
+    if not elements:
+        raise ValueError("cannot reduce an empty basis")
+    order = gb.order
+    fld = elements[0].field
+    n = elements[0].nvars
+    targets = minimal_generators([leading_term(g, order)[1] for g in elements])
+    out = []
+    for m in targets:
+        target = Polynomial.term(fld, n, m, fld.one())
+        r = normal_form(target, elements, order, max_steps=max_steps,
+                        max_coeff_bits=max_coeff_bits).remainder
+        out.append(target - r)
+    return GroebnerBasis(sort_basis(out, order), order)

@@ -1,11 +1,15 @@
-"""The benchmark's tracing hooks still find, wrap and restore the library.
+"""The benchmark still runs against the library: its hooks and its checks.
 
 ``perfbench/tracing.py`` wraps library functions by module and name; a rename
 in the library would crash a traced benchmark run, so it fails here first.
-The tracing module is only loaded, never changed.
+The tracing module is only loaded, never changed.  Each workload's
+correctness gate (every output against ``perfbench/digests.json``) runs here
+too, so a changed output fails the tests rather than a later benchmark run.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +18,8 @@ import pytest
 import valgb
 import valgb.cli  # noqa: F401  the hooks wrap cli.main too
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -47,3 +52,14 @@ def test_tracing_hooks_install_and_restore(hook):
     finally:
         instrument.uninstall()
     assert _snapshot() == before
+
+
+@pytest.mark.parametrize("workload", ["padic-blowup", "small-padic", "cli-mixed"])
+def test_benchmark_outputs_match_digests(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

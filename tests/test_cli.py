@@ -1,14 +1,22 @@
 """End-to-end command-line behavior with golden outputs and exit codes."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import valgb.cli
+from valgb import GREVLEX, WeightedOrder, gb_mod_pm
 from valgb.cardinality import sample_pair
 from valgb.cli import main
 from valgb.polynomials import poly_to_str
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, text):
@@ -132,6 +140,57 @@ def test_gb_modpm_negative_retry_budget_is_input_error(tmp_path, capsys):
     assert "failed verification" not in captured.err
 
 
+@pytest.mark.parametrize("options", [
+    ["--modpm", "16", "--progress"],
+    ["--retry-budget", "3"],
+])
+def test_gb_rejects_options_that_do_not_apply(tmp_path, capsys, options):
+    path = write(
+        tmp_path,
+        "pair.vgb",
+        "field Qp(2)\nvars x,y,z\nideal: x^2+2*y*z+4*z^2, x*y-y^2+2*z^2\n",
+    )
+    assert main(["gb", path] + options) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def cardinality_pair_file(tmp_path):
+    names = ["x1", "x2", "x3"]
+    pair = sample_pair(3, random.Random("cardinality-3-0-0"))
+    path = write(
+        tmp_path,
+        "pair.vgb",
+        "field Qp(2)\nvars x1,x2,x3\nideal: "
+        + ", ".join(poly_to_str(f, names) for f in pair) + "\n",
+    )
+    return path, names, list(pair)
+
+
+@pytest.mark.parametrize("options", [[], ["--max-coeff-bits", "4096"]])
+def test_gb_on_cardinality_pair_ends_quickly(tmp_path, options):
+    # tail reduction by division ran for minutes on this pair; a subprocess
+    # with a timeout turns a regression into a failure, not a hang; "within
+    # 1 s" is read as child process time, which a busy machine does not inflate
+    path, names, pair = cardinality_pair_file(tmp_path)
+    expected = [poly_to_str(g, names)
+                for g in gb_mod_pm(pair, WeightedOrder((0, 0, 0), GREVLEX)).elements]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        [sys.executable, "-m", "valgb", "gb", path] + options,
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert cpu < 1.0
+
+
 def test_initial_and_tropical_member_honour_max_coeff_bits(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -152,14 +211,7 @@ def test_initial_and_tropical_member_honour_max_coeff_bits(tmp_path, capsys):
 def test_initial_and_tropical_member_on_cardinality_pair(tmp_path, capsys):
     # the valued tail reduction of this pair ran for minutes; the initial
     # ideal comes from the initial forms, reduced over GF(2)
-    names = ["x1", "x2", "x3"]
-    pair = sample_pair(3, random.Random("cardinality-3-0-0"))
-    path = write(
-        tmp_path,
-        "pair.vgb",
-        "field Qp(2)\nvars x1,x2,x3\nideal: "
-        + ", ".join(poly_to_str(f, names) for f in pair) + "\n",
-    )
+    path, _, _ = cardinality_pair_file(tmp_path)
     expected = {
         "initial": ["x1^6", "x2^3*x3^3"],
         "tropical-member": ["member: false", "initial: x1^6", "initial: x2^3*x3^3"],

@@ -1,12 +1,16 @@
 """Completion loop: S-polynomials, criteria, golden bases, reduction."""
 
 import random
+import time
 
 import pytest
 
+import valgb.groebner
 from valgb import (
+    GF,
     GREVLEX,
     LEX,
+    CoefficientBlowup,
     CriticalPair,
     Polynomial,
     Qp,
@@ -17,23 +21,27 @@ from valgb import (
     buchberger,
     criterion_b1,
     criterion_b2,
+    gb_mod_pm,
     normal_form,
     reduce_basis,
     s_polynomial,
     sort_basis,
 )
+from valgb.cardinality import sample_pair
 from valgb.groebner import minimal_generators
-from valgb.polynomials import mono_lcm
+from valgb.polynomials import mono_divides, mono_lcm
+from valgb.weights import leading_term
 
 from conftest import (
     P,
     polys,
+    random_homogeneous,
     random_ideal,
     random_weights,
     to_oracle,
     zero_order,
 )
-from oracles import macaulay_dim, reference_leading_monomials
+from oracles import division_reduce_basis, macaulay_dim, reference_leading_monomials
 
 XYZ = "x,y,z"
 
@@ -140,6 +148,96 @@ def test_reduce_basis_keeps_already_reduced():
     f, g, order = qt_family(5)
     red = reduce_basis(buchberger([f, g], order))
     assert reduce_basis(red).elements == red.elements
+
+
+def assert_reduced_basis_of(red, gb):
+    """Check red against gb without the oracle: monic, minimal leading
+    monomials, tails outside the leading ideal, and inside the ideal."""
+    order = gb.order
+    lms = [leading_term(g, order)[1] for g in red.elements]
+    assert sorted(lms) == sorted(minimal_generators(gb.leading_monomials()))
+    for g, lm in zip(red.elements, lms):
+        assert g.terms[lm] == g.field.one()
+        assert not any(mono_divides(t, m) for m in g.terms if m != lm for t in lms)
+        assert normal_form(g, gb.elements, order).remainder.is_zero()
+
+
+def test_reduce_basis_equals_division_oracle():
+    # the former tail reduction by division is the oracle; the elimination
+    # must give the same unique reduced basis, element order included
+    rng = random.Random("reduce-basis-equality")
+    fields = [Qp(2), Qp(3), Qp(5), QQ]
+    budget = 2000
+    trials = 240
+    skipped = 0
+    for trial in range(trials):
+        field = fields[trial % len(fields)]
+        nvars = rng.randint(2, 4)
+        tiebreak = [GREVLEX, LEX, TermOrder("grevlex", tuple(reversed(range(nvars))))][
+            trial // len(fields) % 3
+        ]
+        w = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        if not any(w):
+            w = (1,) + w[1:]
+        F = [
+            random_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=4)
+            for _ in range(rng.randint(1, 3))
+        ]
+        order = WeightedOrder(w, tiebreak)
+        try:
+            gb = buchberger(F, order, max_coeff_bits=budget)
+            expected = division_reduce_basis(gb, max_coeff_bits=budget)
+        except CoefficientBlowup:
+            skipped += 1
+            continue
+        got = reduce_basis(gb)
+        assert got.elements == expected.elements, f"trial {trial}: {F} at {w}"
+        assert_reduced_basis_of(got, gb)
+    assert skipped < 0.05 * trials
+
+
+def test_reduce_basis_of_cardinality_pair_is_fast():
+    # tail reduction by division passed 100000 bits on this pair
+    F = list(sample_pair(3, random.Random("cardinality-3-0-0")))
+    order = zero_order(3)
+    gb = buchberger(F, order)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        red = reduce_basis(gb)
+        best = min(best, time.process_time() - t0)
+    assert best < 0.010
+    assert red.elements == gb_mod_pm(F, order).elements
+
+
+def test_reduce_basis_divides_only_over_qt_and_finite_fields(monkeypatch):
+    texts = ("x^2+2x*y+3y^2", "x*y^2-5y^3")
+    bases = {field: buchberger(polys(field, "x,y", *texts), zero_order(2))
+             for field in (QQ, Qp(2), Qp(3), Qt(), GF(3))}
+    calls = []
+    real = valgb.groebner.normal_form
+
+    def recorder(*args, **kwargs):
+        calls.append(args[0].field)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(valgb.groebner, "normal_form", recorder)
+    for field in (QQ, Qp(2), Qp(3)):
+        reduce_basis(bases[field])
+    assert calls == []
+    for field in (Qt(), GF(3)):
+        reduce_basis(bases[field])
+    assert set(calls) == {Qt(), GF(3)}
+
+
+def test_reduce_basis_rejects_mixed_fields():
+    order = zero_order(2)
+    mixed = [P(Qp(2), "x,y", "x+2y"), P(QQ, "x,y", "y")]
+    with pytest.raises(ValueError, match="field/variable mismatch"):
+        reduce_basis(valgb.groebner.GroebnerBasis(mixed, order))
+    uneven = [P(QQ, "x,y", "x+2y"), P(QQ, "x,y,z", "z")]
+    with pytest.raises(ValueError, match="field/variable mismatch"):
+        reduce_basis(valgb.groebner.GroebnerBasis(uneven, order))
 
 
 def test_generation_property():
