@@ -9,6 +9,7 @@ genericity).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -266,16 +267,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _check_numbers(args):
+    """Reject budgets below 0 and seed counts below 1 as input errors."""
+    for name in ("max_steps", "max_coeff_bits", "degree_cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+    if getattr(args, "seeds", 1) < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error; --help exits 0
         if exc.code:
             return EXIT_INPUT
         raise
     try:
+        _check_numbers(args)
         return args.func(args)
     except (FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,11 +136,13 @@ def _coeff_bits(c) -> int:
         return c.bit_length()
     if hasattr(c, "numerator"):
         return c.numerator.bit_length() + c.denominator.bit_length()
-    if hasattr(c, "num"):  # rational function
+    if hasattr(c, "integer_parts"):  # n/d in Q(t): the widest x/lc(d) in lowest terms
+        n, d = c.integer_parts
+        lc = d[-1]
         bits = 0
-        for part in (c.num, c.den):
-            for fr in part:
-                bits = max(bits, fr.numerator.bit_length() + fr.denominator.bit_length())
+        for x in n + d:
+            g = gcd(x, lc)
+            bits = max(bits, (x // g).bit_length() + (lc // g).bit_length())
         return bits
     return 0
 

@@ -12,12 +12,20 @@ Every algorithm in this package runs over one of these domains:
 Scalars are plain Python values (Fraction, int, RatFunc) kept in a unique
 canonical form; all arithmetic and valuation queries are dispatched through
 the field object so the polynomial layer never inspects representations.
+
+A Q(t) scalar, ``RatFunc``, is a quotient n/d of integer polynomials in t
+with gcd(n, d) = 1 in Z[t] and a positive leading coefficient of d.  Its
+arithmetic is integer convolution followed by one polynomial gcd over Z[t]:
+GCDHEU (Char, Geddes and Gonnet 1989), which reads the gcd off one integer
+gcd of the values at a large point, with the primitive PRS (Brown 1971) as
+the fallback, so no Fraction is built on the way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import Union
 
 
@@ -58,7 +66,9 @@ class _Infinity:
 
 INF = _Infinity()
 
-ExtInt = Union[int, _Infinity]
+# a forward reference: typing caches Union[...] by its arguments, and the class
+# itself there would keep every imported copy of this module alive
+ExtInt = Union[int, "_Infinity"]
 
 
 def _is_prime(p: int) -> bool:
@@ -87,71 +97,174 @@ def padic_valuation(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# univariate rationals-in-t helpers (dense tuples of Fraction, low degree first)
+# univariate integer polynomials in t: tuples of int, low degree first, with
+# no trailing zeros; () is zero
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_Z1 = (1,)
+
+# evaluation points GCDHEU tries before it falls back to the primitive PRS
+_HEU_GCD_TRIES = 6
 
 
-def _tp(coeffs) -> tuple:
-    """Trim trailing zeros; canonical tuple form of a t-polynomial."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
+def _zp_trim(cs: list) -> tuple:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _tp_add(a: tuple, b: tuple) -> tuple:
+def _zp_neg(a: tuple) -> tuple:
+    return tuple(-c for c in a)
+
+
+def _zp_add(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _tp(out)
+    return _zp_trim(out)
 
 
-def _tp_neg(a: tuple) -> tuple:
-    return tuple(-c for c in a)
-
-
-def _tp_mul(a: tuple, b: tuple) -> tuple:
+def _zp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    bs = [(j, c) for j, c in enumerate(b) if c]
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _tp(out)
+        if ca:
+            for j, cb in bs:
+                out[i + j] += ca * cb
+    return tuple(out)  # Z is a domain: the leading coefficient is nonzero
 
 
-def _tp_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_F0] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    lb = b[-1]
-    for k in range(len(rem) - 1, db - 1, -1):
-        if rem[k] == 0:
-            continue
-        c = rem[k] / lb
-        quo[k - db] = c
-        for i in range(db + 1):
-            rem[k - db + i] -= c * b[i]
-    return _tp(quo), _tp(rem)
+def _zp_primitive(a: tuple) -> tuple:
+    c = gcd(*a)
+    return a if c <= 1 else tuple(x // c for x in a)
 
 
-def _tp_gcd(a: tuple, b: tuple) -> tuple:
-    while b:
-        _, r = _tp_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(c / lead for c in a)  # monic
+def _zp_exquo(f: tuple, h: tuple):
+    """f / h when h divides f in Z[t], else None; f and h nonzero."""
+    dh = len(h) - 1
+    dq = len(f) - 1 - dh
+    if dq < 0:
+        return None
+    lc = h[-1]
+    rem = list(f)
+    quo = [0] * (dq + 1)
+    tail = [(i, c) for i, c in enumerate(h[:-1]) if c]
+    for k in range(dq, -1, -1):
+        c = rem[k + dh]
+        if c:
+            qc, r = divmod(c, lc)
+            if r:
+                return None
+            quo[k] = qc
+            for i, hc in tail:
+                rem[k + i] -= qc * hc
+    if any(rem[:dh]):
+        return None
+    return tuple(quo)
+
+
+def _zp_eval(f: tuple, x: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _zp_interpolate(v: int, x: int) -> tuple:
+    """The polynomial whose coefficients are the symmetric base-x digits of v."""
+    half = x // 2
+    out = []
+    while v:
+        c = v % x
+        if c > half:
+            c -= x
+        out.append(c)
+        v = (v - c) // x
+    return tuple(out)
+
+
+def _zp_heu_gcd(f: tuple, g: tuple):
+    """(h, f/h, g/h) for the primitive gcd h of f and g, whose contents are
+    coprime, by GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989);
+    None when no evaluation point succeeds.
+
+    The first point is 2*min(|f|, |g|) + 29 in the max norm, so a candidate
+    read off the integer gcd at a point is the gcd exactly when it divides
+    both inputs.
+    """
+    x = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        ff, gg = _zp_eval(f, x), _zp_eval(g, x)
+        if ff and gg:
+            h = _zp_primitive(_zp_interpolate(gcd(ff, gg), x))
+            if h == _Z1:
+                return h, f, g
+            cf = _zp_exquo(f, h)
+            cg = None if cf is None else _zp_exquo(g, h)
+            if cg is not None:
+                return h, cf, cg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _zp_prem(a: tuple, b: tuple) -> tuple:
+    """A remainder of lc(b)^k * a by b, for the k that makes it integral."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            k = len(r) - db
+            r = [lb * x for x in r]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return _zp_trim(r)
+
+
+def _zp_prs_gcd(f: tuple, g: tuple) -> tuple:
+    """The gcd of primitive f and g by the primitive PRS (Brown 1971)."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _zp_primitive(_zp_prem(f, g))
+    return f
+
+
+def _zp_gcd(f: tuple, g: tuple) -> tuple:
+    """(h, f/h, g/h) for h = gcd(f, g) in Z[t] (up to sign); f, g nonzero."""
+    k = 0
+    while not (f[k] or g[k]):
+        k += 1
+    if k:
+        f, g = f[k:], g[k:]
+    c = gcd(gcd(*f), gcd(*g))
+    if c != 1:
+        f = tuple(x // c for x in f)
+        g = tuple(x // c for x in g)
+    if not any(f[:-1]) or not any(g[:-1]):
+        # a monomial shares no factor with the other: no common power of t
+        # and no common content is left
+        h, cf, cg = _Z1, f, g
+    else:
+        found = _zp_heu_gcd(f, g)
+        if found is None:
+            h = _zp_prs_gcd(_zp_primitive(f), _zp_primitive(g))
+            found = h, _zp_exquo(f, h), _zp_exquo(g, h)
+        h, cf, cg = found
+    if k or c != 1:
+        h = (0,) * k + tuple(c * x for x in h)
+    return h, cf, cg
 
 
 def _tp_ord(a: tuple) -> int:
@@ -182,96 +295,147 @@ def _tp_str(a: tuple, var: str = "t") -> str:
     return "".join(parts)
 
 
+def _integer_tuple(x) -> tuple:
+    """(L*x as an int tuple, L) for the least L > 0 that clears the
+    denominators of x, a scalar or a sequence of int/Fraction coefficients."""
+    if isinstance(x, (int, Fraction)):
+        x = (x,)
+    cs = [c if isinstance(c, int) else Fraction(c) for c in x]
+    L = lcm(*(c.denominator for c in cs if not isinstance(c, int)))
+    return _zp_trim([c * L if isinstance(c, int) else c.numerator * (L // c.denominator)
+                     for c in cs]), L
+
+
+def _canonical(n: tuple, d: tuple) -> "RatFunc":
+    """n/d divided by gcd(n, d) in Z[t] and signed so that lc(d) > 0."""
+    if not n:
+        return _ZERO
+    if d != _Z1:
+        _, n, d = _zp_gcd(n, d)
+        if d[-1] < 0:
+            n, d = _zp_neg(n), _zp_neg(d)
+    return _ratfunc(n, d)
+
+
 class RatFunc:
-    """Rational function in t over Q, canonical form: gcd(num, den) = 1, den monic."""
+    """Rational function n/d in t over Q, held over Z[t].
 
-    __slots__ = ("num", "den")
+    n and d are integer coefficient tuples, low degree first.  The form is
+    canonical: gcd(n, d) = 1 in Z[t] (no common factor of positive degree and
+    no common integer content) and lc(d) > 0; zero is () / (1,).  Every
+    operation computes its result over Z[t] and divides out one gcd (GCDHEU
+    with a primitive PRS fallback).  ``num`` and ``den`` give the same value
+    over Q with a monic denominator, as tuples of Fraction built on each read.
+    """
 
-    def __init__(self, num, den=(_F1,)):
-        if isinstance(num, (int, Fraction)):
-            num = (Fraction(num),)
-        if isinstance(den, (int, Fraction)):
-            den = (Fraction(den),)
-        num = _tp(num)
-        den = _tp(den)
-        if not den:
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, num, den=_Z1):
+        n, ln = _integer_tuple(num)
+        d, ld = _integer_tuple(den)
+        if not d:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (_F1,))
-            return
-        g = _tp_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _tp_divmod(num, g)
-            den, _ = _tp_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if ld != 1:
+            n = tuple(ld * c for c in n)
+        if ln != 1:
+            d = tuple(ln * c for c in d)
+        canonical = _canonical(n, d)
+        _set_n(self, canonical._n)
+        _set_d(self, canonical._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    @property
+    def num(self) -> tuple:
+        """The numerator over the monic denominator, as Fractions."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """The monic denominator, as Fractions."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._d)
+
+    @property
+    def integer_parts(self) -> tuple:
+        """(n, d): the canonical integer numerator and denominator."""
+        return self._n, self._d
+
     @staticmethod
     def t_power(w: int) -> "RatFunc":
         if w >= 0:
-            return RatFunc((_F0,) * w + (_F1,))
-        return RatFunc((_F1,), (_F0,) * (-w) + (_F1,))
+            return _ratfunc((0,) * w + _Z1, _Z1)
+        return _ratfunc(_Z1, (0,) * -w + _Z1)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __add__(self, other):
-        return RatFunc(
-            _tp_add(_tp_mul(self.num, other.den), _tp_mul(other.num, self.den)),
-            _tp_mul(self.den, other.den),
-        )
+        return self._sum(other._n, other._d)
 
     def __sub__(self, other):
-        return RatFunc(
-            _tp_add(_tp_mul(self.num, other.den), _tp_neg(_tp_mul(other.num, self.den))),
-            _tp_mul(self.den, other.den),
-        )
+        return self._sum(_zp_neg(other._n), other._d)
 
     def __neg__(self):
-        return RatFunc(_tp_neg(self.num), self.den)
+        return _ratfunc(_zp_neg(self._n), self._d)
 
     def __mul__(self, other):
-        return RatFunc(_tp_mul(self.num, other.num), _tp_mul(self.den, other.den))
+        return _canonical(_zp_mul(self._n, other._n), _zp_mul(self._d, other._d))
 
     def __truediv__(self, other):
-        if not other.num:
+        if not other._n:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_tp_mul(self.num, other.den), _tp_mul(self.den, other.num))
+        return _canonical(_zp_mul(self._n, other._d), _zp_mul(self._d, other._n))
+
+    def _sum(self, c: tuple, d: tuple) -> "RatFunc":
+        a, b = self._n, self._d
+        if b == d:
+            return _canonical(_zp_add(a, c), b)
+        return _canonical(_zp_add(_zp_mul(a, d), _zp_mul(c, b)), _zp_mul(b, d))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
-        )
+        return isinstance(other, RatFunc) and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def t_val(self) -> ExtInt:
-        if not self.num:
+        if not self._n:
             return INF
-        return _tp_ord(self.num) - _tp_ord(self.den)
+        return _tp_ord(self._n) - _tp_ord(self._d)
 
     def unit_residue(self) -> Fraction:
         """Lowest Taylor coefficient of the unit part (self / t^val)."""
-        if not self.num:
+        if not self._n:
             raise ValueError("zero has no unit part")
-        return self.num[_tp_ord(self.num)] / self.den[_tp_ord(self.den)]
+        return Fraction(self._n[_tp_ord(self._n)], self._d[_tp_ord(self._d)])
 
     def __repr__(self):
-        if self.den == (_F1,):
-            return _tp_str(self.num)
-        return f"({_tp_str(self.num)})/({_tp_str(self.den)})"
+        num, den = self.num, self.den
+        if den == (_F1,):
+            return _tp_str(num)
+        return f"({_tp_str(num)})/({_tp_str(den)})"
+
+
+_set_n = RatFunc._n.__set__
+_set_d = RatFunc._d.__set__
+
+
+def _ratfunc(n: tuple, d: tuple) -> RatFunc:
+    """A RatFunc from a canonical (n, d), with no checks."""
+    out = object.__new__(RatFunc)
+    _set_n(out, n)
+    _set_d(out, d)
+    return out
+
+
+_ZERO = _ratfunc((), _Z1)
+_ONE = _ratfunc(_Z1, _Z1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +625,17 @@ class RationalFunctionField(_OperatorField):
     label = "Qt"
 
     def zero(self):
-        return RatFunc(0)
+        return _ZERO
 
     def one(self):
-        return RatFunc(1)
+        return _ONE
 
     def coerce(self, x):
         if isinstance(x, RatFunc):
             return x
-        return RatFunc(Fraction(x))
+        if type(x) is int:
+            return _ratfunc((x,), _Z1) if x else _ZERO
+        return RatFunc(x)
 
     def val(self, a):
         return a.t_val()
@@ -488,7 +654,7 @@ class RationalFunctionField(_OperatorField):
         neg = False
         if num and num[_tp_ord(num)] < 0:
             neg = True
-            num = _tp_neg(num)
+            num = tuple(-c for c in num)
         nterms = sum(1 for c in num if c != 0)
         if den == (_F1,):
             body = _tp_str(num)

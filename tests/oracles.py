@@ -258,6 +258,95 @@ def series_valuation(num_coeffs, den_coeffs, order=50):
     return None
 
 
+# -- rational functions over Q as Fraction tuples --------------------------------
+#
+# The package's earlier Q(t) arithmetic, kept as the reference for RatFunc:
+# dense tuples of Fraction (low degree first), Euclid over Q for the gcd, and
+# the canonical pair (num, den) with gcd 1 and den monic.
+
+
+def _tp(coeffs) -> tuple:
+    """Trim trailing zeros; canonical tuple form of a t-polynomial."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _tp_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _tp(out)
+
+
+def _tp_neg(a):
+    return tuple(-c for c in a)
+
+
+def _tp_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _tp(out)
+
+
+def _tp_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    db = len(b) - 1
+    for k in range(len(rem) - 1, db - 1, -1):
+        if rem[k] == 0:
+            continue
+        c = rem[k] / b[-1]
+        quo[k - db] = c
+        for i in range(db + 1):
+            rem[k - db + i] -= c * b[i]
+    return _tp(quo), _tp(rem)
+
+
+def _tp_gcd(a, b):
+    while b:
+        a, b = b, _tp_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)  # monic
+
+
+def tp_canonical(num, den=(1,)):
+    """(num, den) over Q with gcd 1 and den monic; zero is ((), (1,))."""
+    num, den = _tp(num), _tp(den)
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return (), (Fraction(1),)
+    g = _tp_gcd(num, den)
+    if len(g) > 1:
+        num, den = _tp_divmod(num, g)[0], _tp_divmod(den, g)[0]
+    lead = den[-1]
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+def tp_add(x, y):
+    return tp_canonical(_tp_add(_tp_mul(x[0], y[1]), _tp_mul(y[0], x[1])),
+                        _tp_mul(x[1], y[1]))
+
+
+def tp_sub(x, y):
+    return tp_add(x, (_tp_neg(y[0]), y[1]))
+
+
+def tp_mul(x, y):
+    return tp_canonical(_tp_mul(x[0], y[0]), _tp_mul(x[1], y[1]))
+
+
+def tp_div(x, y):
+    return tp_canonical(_tp_mul(x[0], y[1]), _tp_mul(x[1], y[0]))
+
+
 # -- linear algebra -----------------------------------------------------------
 
 

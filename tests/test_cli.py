@@ -371,6 +371,45 @@ def test_usage_errors_are_input_errors(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "{file}", "--max-steps", "-1"],
+    ["gb", "{file}", "--max-coeff-bits", "-5"],
+    ["bounds", "{file}", "--degree-cap", "-2"],
+    ["compare-cardinality", "--e", "1", "--seeds", "0"],
+], ids=["max-steps", "max-coeff-bits", "degree-cap", "seeds"])
+def test_bad_numeric_options_are_input_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, "pair.vgb", "field Q\nvars x,y\nideal: x*y\n")
+    assert main([a.replace("{file}", path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_parser_built_once_behaves_like_fresh_parsers(tmp_path, capsys):
+    gb_file = write(tmp_path, "family.vgb", QT_FAMILY)
+    nf_file = write(tmp_path, "division.vgb", DIVISION)
+    runs = [["gb", "--no-such-option"], ["--help"], ["gb", gb_file], ["nf", nf_file]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = valgb.cli._parser()
+    reused = [run(argv) for argv in runs]
+    assert valgb.cli._parser() is first
+    fresh = []
+    for argv in runs:
+        valgb.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+
+
 def test_gb_progress_flag(tmp_path, capsys):
     path = write(tmp_path, "family.vgb", QT_FAMILY)
     assert main(["gb", path, "--progress"]) == 0

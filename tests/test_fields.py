@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from valgb import GF, INF, ModPmRing, QQ, Qp, Qt, RatFunc
+from valgb import GF, INF, ModPmRing, QQ, Qp, Qt, RatFunc, fields
+from valgb.division import _coeff_bits
 from valgb.fields import padic_valuation
 
 from conftest import random_scalar
-from oracles import series_valuation
+from oracles import (
+    _eager_bits, _tp_mul, series_valuation, tp_add, tp_canonical, tp_div, tp_mul, tp_sub,
+)
 
 ALL_FIELDS = [Qp(2), Qp(3), Qp(5), QQ, Qt(), GF(2), GF(7), ModPmRing(3, 1)]
 
@@ -250,6 +253,74 @@ def test_ratfunc_arithmetic_against_fractions():
         assert qt.mul(rx, ry) == qt.coerce(x * y)
         if y != 0:
             assert qt.div(rx, ry) == qt.coerce(x / y)
+
+
+def random_ratfunc_parts(rng, max_deg=4, height=12):
+    """(num, den) tuples of int and Fraction coefficients, often with a common
+    factor of positive degree and a common content."""
+    def poly(deg):
+        cs = [rng.randint(-height, height) for _ in range(deg + 1)]
+        cs = [Fraction(c, rng.randint(1, 6)) if rng.random() < 0.3 else c for c in cs]
+        if not cs[-1]:
+            cs[-1] = 1
+        return cs
+
+    num, den = poly(rng.randint(0, max_deg)), poly(rng.randint(0, max_deg))
+    if rng.random() < 0.1:
+        num = [0] * len(num)
+    if rng.random() < 0.5:
+        common = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)]
+        num, den = _tp_mul(num, common) or (0,), _tp_mul(den, common)
+    return num, den
+
+
+def test_ratfunc_operations_match_fraction_tuple_oracle():
+    rng = random.Random("ratfunc-oracle")
+    pairs = [random_ratfunc_parts(rng) for _ in range(120)]
+    values = [RatFunc(n, d) for n, d in pairs]
+    views = [(x.num, x.den) for x in values]
+    assert views == [tp_canonical(n, d) for n, d in pairs]
+    for x, (num, den) in zip(values, views):
+        assert (-x).num == tuple(-c for c in num) and (-x).den == den
+        assert x == RatFunc(num, den) and hash(x) == hash(RatFunc(num, den))
+        if num:
+            low_n = next(i for i, c in enumerate(num) if c)
+            low_d = next(i for i, c in enumerate(den) if c)
+            assert x.t_val() == low_n - low_d
+            assert x.unit_residue() == num[low_n] / den[low_d]
+    for _ in range(300):
+        i, j = rng.randrange(len(values)), rng.randrange(len(values))
+        x, y, vx, vy = values[i], values[j], views[i], views[j]
+        assert ((x + y).num, (x + y).den) == tp_add(vx, vy)
+        assert ((x - y).num, (x - y).den) == tp_sub(vx, vy)
+        assert ((x * y).num, (x * y).den) == tp_mul(vx, vy)
+        if y:
+            assert ((x / y).num, (x / y).den) == tp_div(vx, vy)
+
+
+def test_ratfunc_coeff_bits_read_from_the_integers():
+    rng = random.Random("ratfunc-bits")
+    seen = 0
+    for _ in range(200):
+        n, d = random_ratfunc_parts(rng, height=2**40)
+        x = RatFunc(n, d)
+        seen += x.integer_parts[1][-1] != 1
+        assert _coeff_bits(x) == _eager_bits(x)
+    assert seen > 100  # most integer denominators are not monic
+
+
+def test_ratfunc_prs_fallback_equals_heuristic_gcd(monkeypatch):
+    rng = random.Random("ratfunc-prs")
+    pairs = [random_ratfunc_parts(rng, max_deg=6) for _ in range(60)]
+    heuristic = [RatFunc(n, d) for n, d in pairs]
+    sums = [heuristic[i] + heuristic[i - 1] for i in range(len(pairs))]
+    calls = []
+    prs = fields._zp_prs_gcd
+    monkeypatch.setattr(fields, "_HEU_GCD_TRIES", 0)
+    monkeypatch.setattr(fields, "_zp_prs_gcd", lambda f, g: calls.append(1) or prs(f, g))
+    assert [RatFunc(n, d) for n, d in pairs] == heuristic
+    assert [heuristic[i] + heuristic[i - 1] for i in range(len(pairs))] == sums
+    assert len(calls) > 50
 
 
 def test_padic_valuation_function():
