@@ -274,13 +274,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args):
-    """Reject budgets below 0 and seed counts below 1 as input errors."""
+    """Reject budgets below 0 and seed counts or e below 1 as input errors."""
     for name in ("max_steps", "max_coeff_bits", "degree_cap"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
-    if getattr(args, "seeds", 1) < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    for name in ("seeds", "e"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
 def main(argv=None) -> int:

@@ -42,10 +42,16 @@ depend on the domain:
 
 The state is thus always a scalar multiple of the one a division that
 inverts 1 - lambda*u_k/u at every recorded step would hold, and the steps,
-the trace and the remainder are exactly that division's.  The remainder is
-divided by u once, at the end.  The quotients h_i are not carried in the
-loop: it keeps one short record per step, which ``DivisionResult.quotients``
-replays the first time it is read.
+the trace and the remainder are exactly that division's.  The quotients h_i
+are not carried in the loop: it keeps one short record per step.  Both the
+remainder (divided by u) and the quotients are built from the final state
+the first time ``DivisionResult`` is asked for them.
+
+Every state in T shares the dividend's degree, so a recorded state divides
+only at its own leading monomial; recorded states are kept in a dict keyed
+by it.  Over a trivially valued field (Q and GF(p)) the leading monomial
+strictly falls, so no recorded state is ever used: the loop counts the
+states (|T| in traces) but stores no snapshot and updates q and r in place.
 """
 
 from __future__ import annotations
@@ -100,14 +106,22 @@ class TraceStep:
 class DivisionResult:
     """Certificate f = sum(quotients[i] * divisors[i]) + remainder.
 
-    ``quotients`` is built from the division's step record the first time it
-    is read; a caller that reads only the remainder never pays for it.
+    ``remainder`` and ``quotients`` are built from the division's final state
+    and step record the first time each is read; ``_r`` is u*remainder in
+    the loop's scalars (integers over Q and Qp), empty iff the remainder is.
     """
 
-    remainder: Polynomial
     step_count: int
     trace: list | None = None
+    _r: dict = field(default=None, repr=False)
+    _remainder: object = field(default=None, repr=False)
     _replay: object = field(default=None, repr=False)
+
+    @cached_property
+    def remainder(self) -> Polynomial:
+        r = self._remainder()
+        self._remainder = None
+        return r
 
     @cached_property
     def quotients(self) -> list:
@@ -118,15 +132,14 @@ class DivisionResult:
 
 @dataclass
 class _Divisor:
-    """An entry of T in the loop's scalars (integers over Q and Qp)."""
+    """An entry of T in the loop's scalars (integers over Q and Qp): an
+    original divisor, whose index is its position, or a recorded state,
+    whose index is its number and which keeps its r and u."""
 
     terms: dict
     lm: Monomial
     lc: object
-    supp: frozenset
-    orig_index: int | None = None
-    # a recorded state: its number, and its r and u
-    state: int | None = None
+    index: int
     r: dict | None = None
     u: object = None
 
@@ -165,10 +178,24 @@ def _integer_terms(f: Polynomial) -> tuple:
     return cached
 
 
-def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
+def _with_integer_terms(fld, n: int, terms: dict, s: Fraction) -> Polynomial:
+    """The polynomial terms/s over Q or Qp, for a primitive integer term dict
+    and s > 0, with (terms, s) seeded as its ``_integer_terms`` memo."""
+    num, den = s.numerator, s.denominator
+    f = Polynomial(fld, n, {m: Fraction(c * den, num) for m, c in terms.items()},
+                   _clean=True)
+    f._cache["integer-terms"] = (terms, s)
+    return f
+
+
+def _combine(alpha, A: dict, beta, B: dict, xv, mod, in_place=False) -> dict:
     """The term dict alpha*A - beta*x^xv*B, reduced mod ``mod`` unless that
-    is None; alpha and xv None stand for 1."""
-    out = dict(A) if alpha is None else {m: alpha * c for m, c in A.items()}
+    is None; alpha and xv None stand for 1.  With alpha None and ``in_place``,
+    A itself is updated and returned."""
+    if alpha is not None:
+        out = {m: alpha * c for m, c in A.items()}
+    else:
+        out = A if in_place else dict(A)
     for m, c in B.items():
         if xv is not None:
             m = mono_mul(m, xv)
@@ -184,14 +211,15 @@ def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
     return out
 
 
-def _replay_quotients(fld, n: int, factors: list, record: list) -> list:
+def _replay_quotients(fld, n: int, factors: list, inv_u, record: list) -> list:
     """The quotients h_i of f, rebuilt from the loop's step record.
 
     Record entries: None when the current state joins the recorded states;
     (k, xv, alpha, beta, scale) for h <- scale*(alpha*h + beta*x^xv*e_k)
     against original divisor k >= 0, or h <- scale*(alpha*h - beta*h_~k)
     against recorded state ~k, where alpha and scale None stand for 1.
-    Finally h_i is multiplied by factors[i] (None stands for 1).
+    Finally h_i is multiplied by factors[i]*inv_u (a None factor stands
+    for 1, and so does a None inv_u).
     """
     h = [Polynomial.zero(fld, n)] * len(factors)
     states = []
@@ -208,6 +236,7 @@ def _replay_quotients(fld, n: int, factors: list, record: list) -> list:
             h = [a - b.scale(beta) for a, b in zip(h, states[~k])]
         if scale is not None:
             h = [a.scale(scale) for a in h]
+    factors = [inv_u if s is None else s * inv_u for s in factors]
     return [a if c is None else a.scale(c) for a, c in zip(h, factors)]
 
 
@@ -229,8 +258,8 @@ def normal_form(
     Internally the loop holds u*f = sum h_i g_i + q + r up to a common
     scalar (see the module docstring) and divides by u once at the end; the
     trace reports q/u and r/u, and the breaker tests the bits of lc(q)/u.
-    The quotients are built when ``quotients`` is first read.  Divisors are
-    chosen by the support-count ecart (``support_count_ecart``).
+    The remainder and the quotients are built when first read.  Divisors
+    are chosen by the support-count ecart (``support_count_ecart``).
     """
     fld = f.field
     n = f.nvars
@@ -239,10 +268,13 @@ def normal_form(
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
     integral = isinstance(fld, (RationalField, QpField))
+    mod = fld.modulus if isinstance(fld, ModPmRing) else None
+    # the leading monomial strictly falls: recorded states are never used
+    trivial = isinstance(fld, RationalField) or (mod is not None and fld.m == 1)
 
     # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
     in_loop_scalars = _integer_terms if integral else lambda g: (g.terms, None)
-    T: list[_Divisor] = []
+    originals: list[_Divisor] = []
     factors = []
     for i, g in enumerate(divisors):
         if g.field != fld or g.nvars != n:
@@ -253,11 +285,10 @@ def normal_form(
             raise ValueError(f"divisor {i} is not homogeneous")
         _, lm, _ = leading_term(g, order)
         terms, s = in_loop_scalars(g)
-        T.append(_Divisor(terms, lm, terms[lm], frozenset(terms), i))
+        originals.append(_Divisor(terms, lm, terms[lm], i))
         factors.append(s)
 
     one = fld.one()
-    mod = fld.modulus if isinstance(fld, ModPmRing) else None
     val = fld.val
     if integral:
         # the state is held for the dividend s_f*f, so the unit is U*s_f
@@ -315,13 +346,20 @@ def normal_form(
             return Polynomial(fld, n, {m: fld.mul(c, inv_u) for m, c in terms.items()},
                               _clean=True)
 
+    if trivial:
+        Q = dict(Q)  # updated in place from here on
     R: dict = {}
+    recorded: dict = {}  # leading monomial -> the states recorded there
+    n_states = 0
     record: list = []  # read by _replay_quotients
     steps = 0
     trace_log: list[TraceStep] | None = [] if trace else None
 
     def record_state():
-        T.append(_Divisor(Q, lm, a, frozenset(Q), None, len(T) - len(divisors), R, U))
+        nonlocal n_states
+        if not trivial:
+            recorded.setdefault(lm, []).append(_Divisor(Q, lm, a, n_states, R, U))
+        n_states += 1
         record.append(None)
 
     while Q:
@@ -331,7 +369,7 @@ def normal_form(
             )
         if trace_log is not None:
             inv_u = inverse_unit(U)
-            q_start, r_start = unscaled(Q, inv_u), unscaled(R, inv_u)
+            q_start, r_start = unscaled(dict(Q), inv_u), unscaled(dict(R), inv_u)
         _, lm = _leading(Q, fld, order)
         a = Q[lm]
         if max_coeff_bits is not None and blown(a, U):
@@ -340,43 +378,46 @@ def normal_form(
             )
 
         # choose the dividing entry of T with minimal (support-count) ecart;
-        # original divisors win ties, then earliest insertion
+        # original divisors win ties, then earliest insertion.  A recorded
+        # state has the degree of f, so it divides only at its own lm.
         best = None
         best_key = None
         q_supp = Q.keys()
-        for idx, entry in enumerate(T):
-            if not mono_divides(entry.lm, lm):
-                continue
-            key = (len(entry.supp - q_supp), 0 if entry.orig_index is not None else 1, idx)
+        for entry in originals:
+            if mono_divides(entry.lm, lm):
+                key = (len(entry.terms.keys() - q_supp), 0, entry.index)
+                if best_key is None or key < best_key:
+                    best, best_key = entry, key
+        for entry in recorded.get(lm, ()):
+            key = (len(entry.terms.keys() - q_supp), 1, entry.index)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
 
         if best is None:
             # move the leading term to the remainder; the current state joins T
             record_state()
-            R = dict(R)
+            if not trivial:
+                R, Q = dict(R), dict(Q)
             R[lm] = a
-            Q = dict(Q)
             del Q[lm]
             action, dlabel = "remainder", "-"
         else:
             if best_key[0] > 0:
                 record_state()
             alpha, beta = ratio(a, best.lc)
-            xv = mono_div(lm, best.lm)
-            if best.orig_index is not None:
-                k = best.orig_index
-                Q = _combine(alpha, Q, beta, best.terms, xv if any(xv) else None, mod)
+            if best_key[1] == 0:
+                k = best.index
+                xv = mono_div(lm, best.lm)
+                Q = _combine(alpha, Q, beta, best.terms, xv if any(xv) else None, mod,
+                             trivial)
                 if alpha is not None:
                     U = alpha * U
                     R = {m: alpha * c for m, c in R.items()}
                 action, dlabel = "divide", f"g{k + 1}"
             else:
-                # dividing by a recorded partial state: same degree forces xv = 1
-                if any(xv):
-                    raise AssertionError("recorded-state divisor with nontrivial cofactor")
-                # the quotient coefficient of the u = 1 division is
-                # (beta/alpha)*u_k/u
+                # dividing by a recorded partial state at lm (no cofactor): the
+                # quotient coefficient of the u = 1 division is (beta/alpha)*u_k/u
+                xv = None
                 v = val(beta)
                 if v is not INF:
                     v += val(best.u) - val(U) - (0 if alpha is None else val(alpha))
@@ -384,7 +425,7 @@ def normal_form(
                     raise AssertionError(
                         "quotient coefficient against a recorded state must have positive valuation"
                     )
-                k = ~best.state
+                k = ~best.index
                 U = (U if alpha is None else alpha * U) - beta * best.u
                 if mod is not None:
                     U %= mod
@@ -397,15 +438,13 @@ def normal_form(
             record.append((k, xv, alpha, beta, scale))
         if trace_log is not None:
             trace_log.append(
-                TraceStep(steps, q_start, r_start, action, dlabel, lm, len(T))
+                TraceStep(steps, q_start, r_start, action, dlabel, lm,
+                          len(originals) + n_states)
             )
         steps += 1
 
     inv_u = inverse_unit(U)
-    r = unscaled(R, inv_u)
-    if integral:
-        factors = [s * inv_u for s in factors]
-    else:
-        factors = [inv_u] * len(divisors)
-    replay = partial(_replay_quotients, fld, n, factors, record)
-    return DivisionResult(r, steps, trace_log, replay)
+    return DivisionResult(
+        steps, trace_log, R, partial(unscaled, R, inv_u),
+        partial(_replay_quotients, fld, n, factors, inv_u, record),
+    )

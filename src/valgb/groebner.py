@@ -5,11 +5,16 @@ of its elements generate the full initial ideal; equivalently every
 S-polynomial of two elements divides to zero against G.  The reduced basis
 (minimal, monic, tail-reduced) is unique for a fixed ideal and order.
 
-Valued division reduces S-polynomials and verifies bases.  Over Q and Qp the
-reduced basis is read off one sparse integer RREF per degree instead (F4's
-symbolic preprocessing, Faugere 1999), so its entries are ratios of minors;
-the lift of ``lifting.gb_mod_pm`` reads its rows with the same routine.
-Q(t), GF(p) and Z/p^m tail-reduce by division.
+Valued division reduces S-polynomials and verifies bases.  Over Q and Qp
+the completion loop and ``is_basis_of`` work on integers: each element is
+read as its memoized primitive integer form, each S-polynomial is formed on
+those forms and handed to the division with its own integer form already
+memoized, and a new element is made monic once, from the division's integer
+remainder.  Over Q and Qp the reduced basis is read off one sparse integer
+RREF per degree instead of division (F4's symbolic preprocessing, Faugere
+1999), so its entries are ratios of minors; the lift of
+``lifting.gb_mod_pm`` reads its rows with the same routine.  Q(t), GF(p)
+and Z/p^m use ``s_polynomial`` and ``monic`` and tail-reduce by division.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 
-from .division import _integer_terms, normal_form
+from .division import _combine, _integer_terms, _with_integer_terms, normal_form
 from .fields import QpField, RationalField
 from .linalg import rref
 from .polynomials import (
@@ -30,7 +36,7 @@ from .polynomials import (
     mono_lcm,
     mono_mul,
 )
-from .weights import WeightedOrder, leading_term
+from .weights import WeightedOrder, _leading, leading_term
 
 
 @dataclass
@@ -70,6 +76,36 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     _, lmg, lcg = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
     return f.mono_mul(mono_div(lcm, lmf), lcg) - g.mono_mul(mono_div(lcm, lmg), lcf)
+
+
+def _integer_s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomial:
+    """``s_polynomial(f, g, order)`` over Q or Qp, formed on the memoized
+    primitive integer forms of f and g and returned with its own seeded."""
+    (F, sf), (G, sg) = _integer_terms(f), _integer_terms(g)
+    lmf, lmg = leading_term(f, order)[1], leading_term(g, order)[1]
+    a, b = F[lmf], G[lmg]
+    d = gcd(a, b)
+    lcm = mono_lcm(lmf, lmg)
+    xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
+    # (b/d)*x^xf*F - (a/d)*x^xg*G = (sf*sg/d)*S, as F = sf*f and a = sf*lc(f)
+    S = {mono_mul(m, xf): b // d * c for m, c in F.items()}
+    S = _combine(None, S, a // d, G, xg if any(xg) else None, None, True)
+    if not S:
+        return Polynomial.zero(f.field, f.nvars)
+    c = gcd(*S.values())
+    return _with_integer_terms(f.field, f.nvars, {m: v // c for m, v in S.items()},
+                               sf * sg / (d * c))
+
+
+def _monic_from_integers(fld, n: int, terms: dict, order: WeightedOrder) -> Polynomial:
+    """The monic multiple of a nonzero integer term dict over Q or Qp, with
+    its integer form seeded."""
+    _, lm = _leading(terms, fld, order)
+    c = gcd(*terms.values())
+    if terms[lm] < 0:
+        c = -c
+    terms = {m: v // c for m, v in terms.items()}
+    return _with_integer_terms(fld, n, terms, Fraction(terms[lm]))
 
 
 def criterion_b1(pair: CriticalPair) -> bool:
@@ -115,10 +151,18 @@ def buchberger(
 
     Pairs are processed lowest lcm degree first (ties by the tiebreak order
     on the lcm, then index).  New remainders are normalized before joining
-    the basis; the default normalization is monic scaling.
+    the basis; the default normalization is monic scaling.  Over Q and Qp
+    the S-polynomials are formed on the elements' primitive integer forms,
+    and the default normalization reads the division's integer remainder.
     """
-    if normalize is None:
-        normalize = monic
+
+    def normalized(f):
+        if normalize is not None:
+            return normalize(f, order)
+        if isinstance(f.field, (RationalField, QpField)):
+            return _monic_from_integers(f.field, f.nvars, _integer_terms(f)[0], order)
+        return monic(f, order)
+
     G: list[Polynomial] = []
     for idx, f in enumerate(generators):
         if f.nvars != order.nvars:
@@ -130,12 +174,15 @@ def buchberger(
                 f"generator {idx} is not homogeneous; bases over valued fields "
                 "require homogeneous input"
             )
-        nf = normalize(f, order)
+        nf = normalized(f)
         if nf.is_zero() or any(nf == g for g in G):
             continue
         G.append(nf)
     if not G:
         raise ValueError("need at least one nonzero generator")
+    fld, n = G[0].field, G[0].nvars
+    integral = isinstance(fld, (RationalField, QpField))
+    spoly = _integer_s_polynomial if integral else s_polynomial
 
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
     heap: list = []
@@ -166,17 +213,20 @@ def buchberger(
         if use_criteria and criterion_b2(pair, lms, pending):
             counters["b2"] += 1
             continue
-        s = s_polynomial(G[i], G[j], order)
+        s = spoly(G[i], G[j], order)
         if s.is_zero():
             counters["reductions_to_zero"] += 1
             continue
         result = normal_form(
             s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits
         )
-        r = result.remainder
-        if not r.is_zero():
-            r = normalize(r, order)  # may declare the remainder negligible
-        if r.is_zero():
+        r = None
+        if result._r:  # u*remainder in the division's scalars
+            if integral and normalize is None:
+                r = _monic_from_integers(fld, n, result._r, order)
+            else:
+                r = normalized(result.remainder)  # may declare the remainder negligible
+        if not r:
             counters["reductions_to_zero"] += 1
         else:
             G.append(r)
@@ -331,6 +381,8 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
     original generators divide to zero against the basis."""
     G = gb.elements
     order = gb.order
+    integral = bool(G) and isinstance(G[0].field, (RationalField, QpField))
+    spoly = _integer_s_polynomial if integral else s_polynomial
     for f in generators:
         if f.is_zero():
             continue
@@ -345,7 +397,7 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
             pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
             if criterion_b1(pair):
                 continue
-            s = s_polynomial(G[i], G[j], order)
+            s = spoly(G[i], G[j], order)
             if s.is_zero():
                 continue
             r = normal_form(

@@ -3,10 +3,11 @@
 Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
-the package's own division, basis or elimination machinery, except two
+the package's own division, basis or elimination machinery, except three
 earlier package algorithms kept as references for their replacements: the
 eager tangent-cone division uses only the package's polynomials and leading
-terms, and the division tail reduction uses the package's division.
+terms, and the division tail reduction and the Fraction completion loop use
+the package's division.
 """
 
 from __future__ import annotations
@@ -548,3 +549,91 @@ def division_reduce_basis(gb, *, max_steps=1_000_000, max_coeff_bits=None):
                         max_coeff_bits=max_coeff_bits).remainder
         out.append(target - r)
     return GroebnerBasis(sort_basis(out, order), order)
+
+
+# -- Fraction completion loop ---------------------------------------------------
+
+
+def fraction_buchberger(generators, order, *, use_criteria=True,
+                        max_steps=1_000_000, max_coeff_bits=None):
+    """The package's earlier completion loop, kept as the reference for the
+    integer one over Q and Qp: Fraction S-polynomials (``s_polynomial``),
+    the Fraction remainder of the package's division, and ``monic``.
+
+    Returns (elements, stats) as ``buchberger`` returns them in its
+    ``GroebnerBasis``.
+    """
+    import heapq
+
+    from valgb.division import normal_form
+    from valgb.groebner import CriticalPair, criterion_b1, criterion_b2, monic, s_polynomial
+    from valgb.polynomials import mono_degree, mono_lcm
+    from valgb.weights import leading_term
+
+    G = []
+    for f in generators:
+        if f.is_zero():
+            continue
+        nf = monic(f, order)
+        if not any(nf == g for g in G):
+            G.append(nf)
+    lms = [leading_term(g, order)[1] for g in G]
+    heap, pending = [], set()
+
+    def push_pairs(j):
+        for i in range(j):
+            lcm = mono_lcm(lms[i], lms[j])
+            heapq.heappush(heap, (mono_degree(lcm), order.tiebreak.sort_key(lcm), i, j))
+            pending.add((i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
+    stats = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0}
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        stats["pairs"] += 1
+        pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
+        if use_criteria and criterion_b1(pair):
+            stats["b1"] += 1
+            continue
+        if use_criteria and criterion_b2(pair, lms, pending):
+            stats["b2"] += 1
+            continue
+        s = s_polynomial(G[i], G[j], order)
+        r = s if s.is_zero() else normal_form(
+            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits).remainder
+        if r.is_zero():
+            stats["reductions_to_zero"] += 1
+            continue
+        G.append(monic(r, order))
+        lms.append(leading_term(G[-1], order)[1])
+        stats["new_elements"] += 1
+        push_pairs(len(G) - 1)
+    return G, stats
+
+
+def fraction_is_basis_of(elements, generators, order, max_coeff_bits=None):
+    """The package's earlier ``is_basis_of``: every generator and every S-pair
+    not skipped by criterion B1 divides to zero, with Fraction S-polynomials."""
+    from functools import partial
+
+    from valgb.division import normal_form as nf
+    from valgb.groebner import CriticalPair, criterion_b1, s_polynomial
+    from valgb.polynomials import mono_lcm
+    from valgb.weights import leading_term
+
+    G = list(elements)
+    normal_form = partial(nf, max_coeff_bits=max_coeff_bits)
+    if any(not normal_form(f, G, order).remainder.is_zero()
+           for f in generators if not f.is_zero()):
+        return False
+    lms = [leading_term(g, order)[1] for g in G]
+    for j in range(len(G)):
+        for i in range(j):
+            if criterion_b1(CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))):
+                continue
+            s = s_polynomial(G[i], G[j], order)
+            if not s.is_zero() and not normal_form(s, G, order).remainder.is_zero():
+                return False
+    return True

@@ -5,6 +5,8 @@ in the library would crash a traced benchmark run, so it fails here first.
 The tracing module is only loaded, never changed.  Each workload's
 correctness gate (every output against ``perfbench/digests.json``) runs here
 too, so a changed output fails the tests rather than a later benchmark run.
+Two traced runs pin the division counts, so a division that bypasses the
+public ``normal_form`` (and so the tracing) fails here as well.
 """
 
 import importlib.util
@@ -63,3 +65,21 @@ def test_benchmark_outputs_match_digests(workload):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+@pytest.mark.parametrize("workload, counts", [
+    ("cli-mixed", {"division.normal_form_calls": 130, "division.steps": 1613,
+                   "division.steps_max": 50, "division.breaker_trips": 0}),
+    ("padic-blowup", {"division.normal_form_calls": 69, "division.steps": 1202,
+                      "division.steps_max": 85, "division.breaker_trips": 1}),
+])
+def test_traced_division_counts(workload, counts):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert {k: result["metrics"][k]["value"] for k in counts} == counts

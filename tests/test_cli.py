@@ -376,7 +376,8 @@ def test_usage_errors_are_input_errors(tmp_path, capsys):
     ["gb", "{file}", "--max-coeff-bits", "-5"],
     ["bounds", "{file}", "--degree-cap", "-2"],
     ["compare-cardinality", "--e", "1", "--seeds", "0"],
-], ids=["max-steps", "max-coeff-bits", "degree-cap", "seeds"])
+    ["compare-cardinality", "--e", "0", "--seeds", "1"],
+], ids=["max-steps", "max-coeff-bits", "degree-cap", "seeds", "e"])
 def test_bad_numeric_options_are_input_errors(tmp_path, capsys, argv):
     path = write(tmp_path, "pair.vgb", "field Q\nvars x,y\nideal: x*y\n")
     assert main([a.replace("{file}", path) for a in argv]) == 1

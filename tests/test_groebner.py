@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -27,13 +28,14 @@ from valgb import (
     s_polynomial,
     sort_basis,
 )
-from valgb.cardinality import sample_pair
-from valgb.groebner import minimal_generators
-from valgb.polynomials import mono_divides, mono_lcm
+from valgb.cardinality import default_orders, sample_pair
+from valgb.groebner import GroebnerBasis, is_basis_of, minimal_generators
+from valgb.polynomials import compositions, mono_divides, mono_lcm
 from valgb.weights import leading_term
 
 from conftest import (
     P,
+    nine_variable_problem,
     polys,
     random_homogeneous,
     random_ideal,
@@ -41,7 +43,13 @@ from conftest import (
     to_oracle,
     zero_order,
 )
-from oracles import division_reduce_basis, macaulay_dim, reference_leading_monomials
+from oracles import (
+    division_reduce_basis,
+    fraction_buchberger,
+    fraction_is_basis_of,
+    macaulay_dim,
+    reference_leading_monomials,
+)
 
 XYZ = "x,y,z"
 
@@ -406,3 +414,118 @@ def test_hilbert_function_equality_small():
                     1 for m in monos if not any(mono_divides(lm, m) for lm in lms)
                 )
                 assert left == right
+
+
+# ROADMAP W1: an 85-step normal form with 257k-bit intermediates
+W1_TEXTS = ("-8x^2*y-4x*y*z-y^2*z", "-3y^3+6x^2*z-6x*y*z+2z^3", "5x*y-6x*z-8y*z+3z^2")
+
+
+def completion_suite():
+    """(label, generators, order) over Qp(2), Qp(3), Qp(5) and Q: the
+    ``modpm-d`` set over its Qp(p) and over Q, W1, and the cardinality pairs
+    for e = 1, 2, 3 over Qp(2) and over Q under each classical order."""
+    out = []
+    rng = random.Random("modpm-d")  # the mod-p^m agreement suite's sample
+    for trial in range(100):
+        field = Qp([2, 3, 5][trial % 3])
+        gens = random_ideal(rng, field, 3, max_degree=3, max_gens=3, height=50)
+        order = WeightedOrder(random_weights(rng, field, 3), GREVLEX)
+        out.append((f"modpm-d {trial} {field}", gens, order))
+        out.append((f"modpm-d {trial} Q", [g.map_coefficients(Fraction, QQ) for g in gens],
+                    order))
+    out.append(("W1", polys(Qp(2), XYZ, *W1_TEXTS), WeightedOrder((-1, 0, -2), GREVLEX)))
+    for e in (1, 2, 3):
+        for seed in range(2):
+            pair = sample_pair(e, random.Random(f"cardinality-{e}-{seed}-0"))
+            out.append((f"pair e={e} seed={seed}", list(pair), zero_order(3)))
+            over_q = [g.map_coefficients(Fraction, QQ) for g in pair]
+            for tiebreak in default_orders(e):
+                out.append((f"pair e={e} seed={seed} Q {tiebreak.label()}", over_q,
+                            zero_order(3, tiebreak)))
+    return out
+
+
+def test_integer_completion_matches_fraction_oracle():
+    # the same monic elements in the same order, and the same pair statistics
+    for label, gens, order in completion_suite():
+        basis = buchberger(gens, order)
+        elements, stats = fraction_buchberger(gens, order)
+        assert basis.elements == elements, label
+        assert basis.stats == stats, label
+
+
+def test_integer_s_polynomials_are_the_fraction_ones():
+    # equal polynomials, and the seeded integer form is the one computed afresh
+    from valgb.division import _integer_terms
+    from valgb.groebner import _integer_s_polynomial
+
+    for label, gens, order in completion_suite()[::3]:
+        elements, _ = fraction_buchberger(gens, order)
+        for j in range(len(elements)):
+            for i in range(j):
+                f, g = elements[i], elements[j]
+                s = s_polynomial(f, g, order)
+                got = _integer_s_polynomial(f, g, order)
+                assert got == s, label
+                if s:
+                    fresh = Polynomial(s.field, s.nvars, dict(s.terms), _clean=True)
+                    assert _integer_terms(got) == _integer_terms(fresh), label
+
+
+def test_integer_completion_trips_the_breaker_as_the_oracle_does():
+    def outcome(run, budget):
+        try:
+            return run(max_coeff_bits=budget)
+        except CoefficientBlowup as exc:
+            return str(exc)
+
+    suite = completion_suite()
+    tripped = 0
+    for label, gens, order in suite[:60:5] + [s for s in suite if s[0] == "W1"]:
+        for budget in (16, 32, 64, 128, 256, 1024):
+            got = outcome(lambda **kw: buchberger(gens, order, **kw).elements, budget)
+            want = outcome(lambda **kw: fraction_buchberger(gens, order, **kw)[0], budget)
+            assert got == want, (label, budget)
+            tripped += isinstance(got, str)
+    assert tripped > 10
+
+
+def test_is_basis_of_matches_fraction_oracle():
+    # verdicts on each reduced basis, on it with one element dropped, and on
+    # it with one element perturbed by a term; a trip must give the same message
+    def verdict(check):
+        try:
+            return check()
+        except CoefficientBlowup as exc:
+            return str(exc)
+
+    rng = random.Random("verdicts")
+    falses = {"reduced": 0, "dropped": 0, "perturbed": 0}
+    for label, gens, order in completion_suite():
+        red = reduce_basis(buchberger(gens, order)).elements
+        k = rng.randrange(len(red))
+        g = red[k]
+        bump = Polynomial.term(g.field, 3, rng.choice(list(compositions(3, g.degree()))), 1)
+        variants = {"reduced": red, "perturbed": red[:k] + [g + bump] + red[k + 1:]}
+        if len(red) > 1:
+            variants["dropped"] = red[:k] + red[k + 1:]
+        for kind, elements in variants.items():
+            got = verdict(lambda: is_basis_of(GroebnerBasis(elements, order), gens,
+                                              max_coeff_bits=4096))
+            want = verdict(lambda: fraction_is_basis_of(elements, gens, order,
+                                                        max_coeff_bits=4096))
+            assert got == want, (label, kind)
+            falses[kind] += got is False
+    assert falses["reduced"] == 0
+    assert falses["dropped"] > 50 and falses["perturbed"] > 50, falses
+
+
+def test_nine_variable_no_criteria_run_trips_the_breaker():
+    gens, _, order = nine_variable_problem()
+    message = "leading coefficient exceeded 20000 bits after 77 steps"
+    with pytest.raises(CoefficientBlowup) as exc:
+        buchberger(gens, order, use_criteria=False, max_coeff_bits=20000)
+    assert str(exc.value) == message
+    with pytest.raises(CoefficientBlowup) as exc:
+        fraction_buchberger(gens, order, use_criteria=False, max_coeff_bits=20000)
+    assert str(exc.value) == message
