@@ -65,15 +65,10 @@ def sample_pair(e: int, rng: random.Random, height: int = 20):
     monos = monomials_of_degree(3, d)
     x1d = (d, 0, 0)
     x2e3e = (0, e, e)
-
-    def odd():
-        return rng.choice([c for c in range(-height, height + 1) if c % 2 == 1])
-
-    def even():
-        return rng.choice([c for c in range(-height, height + 1) if c % 2 == 0 and c != 0])
-
-    f_terms = {m: (odd() if m == x1d else even()) for m in monos}
-    g_terms = {m: (odd() if m == x2e3e else even()) for m in monos}
+    odds = [c for c in range(-height, height + 1) if c % 2 == 1]
+    evens = [c for c in range(-height, height + 1) if c % 2 == 0 and c != 0]
+    f_terms = {m: rng.choice(odds if m == x1d else evens) for m in monos}
+    g_terms = {m: rng.choice(odds if m == x2e3e else evens) for m in monos}
     f = Polynomial(field, 3, f_terms)
     g = Polynomial(field, 3, g_terms)
     return f, g

@@ -274,7 +274,9 @@ def _tp_ord(a: tuple) -> int:
     raise ValueError("order of zero polynomial")
 
 
-def _tp_str(a: tuple, var: str = "t") -> str:
+def _tp_str(a: tuple, var: str = "t", over: int = 1) -> str:
+    """Text of the integer polynomial a divided by an integer over > 0, each
+    coefficient printed as its Fraction prints."""
     if not a:
         return "0"
     parts = []
@@ -283,6 +285,9 @@ def _tp_str(a: tuple, var: str = "t") -> str:
             continue
         neg = c < 0
         mag = -c if neg else c
+        if over != 1:
+            g = gcd(mag, over)
+            mag = mag // g if g == over else f"{mag // g}/{over // g}"
         if k == 0:
             body = str(mag)
         else:
@@ -416,10 +421,10 @@ class RatFunc:
         return Fraction(self._n[_tp_ord(self._n)], self._d[_tp_ord(self._d)])
 
     def __repr__(self):
-        num, den = self.num, self.den
-        if den == (_F1,):
-            return _tp_str(num)
-        return f"({_tp_str(num)})/({_tp_str(den)})"
+        n, d = self._n, self._d
+        if len(d) == 1:
+            return _tp_str(n, over=d[0])
+        return f"({_tp_str(n, over=d[-1])})/({_tp_str(d, over=d[-1])})"
 
 
 _set_n = RatFunc._n.__set__
@@ -650,18 +655,19 @@ class RationalFunctionField(_OperatorField):
         return QQ
 
     def format_coefficient(self, a):
-        num, den = a.num, a.den
-        neg = False
-        if num and num[_tp_ord(num)] < 0:
-            neg = True
-            num = tuple(-c for c in num)
-        nterms = sum(1 for c in num if c != 0)
-        if den == (_F1,):
-            body = _tp_str(num)
-            if nterms > 1:
+        """The text of n/d over the monic denominator, read off the integer
+        parts: each coefficient c of n or d prints as the Fraction c/lc(d)."""
+        n, d = a.integer_parts
+        neg = bool(n) and n[_tp_ord(n)] < 0  # lc(d) > 0
+        if neg:
+            n = _zp_neg(n)
+        lc = d[-1]
+        if len(d) == 1:
+            body = _tp_str(n, over=lc)
+            if sum(1 for c in n if c) > 1:
                 body = f"({body})"
         else:
-            body = f"({_tp_str(num)})/({_tp_str(den)})"
+            body = f"({_tp_str(n, over=lc)})/({_tp_str(d, over=lc)})"
         return neg, body
 
     def __eq__(self, other):

@@ -187,15 +187,13 @@ def buchberger(
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
     heap: list = []
     pending: set = set()
+    keys = order.tiebreak._keys
 
     def push_pairs(j: int):
         lmj = lms[j]
         for i in range(j):
             lcm = mono_lcm(lms[i], lmj)
-            heapq.heappush(
-                heap,
-                (mono_degree(lcm), order.tiebreak.sort_key(lcm), i, j),
-            )
+            heapq.heappush(heap, (mono_degree(lcm), keys[lcm], i, j))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -250,11 +248,8 @@ def minimal_generators(monomials: list) -> list[Monomial]:
 
 def sort_basis(elements: list, order: WeightedOrder) -> list:
     """Canonical basis order: ascending degree, then descending leading monomial."""
-    out = sorted(
-        elements,
-        key=lambda g: order.tiebreak.sort_key(leading_term(g, order)[1]),
-        reverse=True,
-    )
+    ranks = order._ranks
+    out = sorted(elements, key=lambda g: ranks[leading_term(g, order)[1]][1], reverse=True)
     out.sort(key=lambda g: g.degree())
     return out
 

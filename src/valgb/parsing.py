@@ -14,11 +14,22 @@ multiplication, ^ for powers, parenthesized subexpressions, and division by
 constants; over Q(t) the name t denotes the valuation parameter, so scalars
 like (1+t^5) or (3+t)/(1+t) are ordinary subexpressions.  Errors carry exact
 line/column positions.
+
+One compiled regular expression splits an expression into (kind, text,
+column) tokens; integers are ASCII digits.  The recursive-descent parser
+works on term dicts {exponent tuple: scalar} and builds one Polynomial at
+the end.  An atom is one term: a variable is a unit exponent vector, an
+integer is coerced once, and t over Q(t) is phi(1).  A product with a
+one-term factor adds exponents and multiplies scalars, a one-term power
+multiplies its exponents by k (t^k is phi(k)), a power of a sum is binary
+powering, and sums add into one dict, so m^k costs one step, not k.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import add
 
 from .fields import CoefficientField, QQ, Qp, Qt, RationalFunctionField
 from .polynomials import Polynomial, TermOrder
@@ -54,163 +65,210 @@ class ProblemFile:
 # expression tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = {"^": "CARET", "*": "STAR", "/": "SLASH", "+": "PLUS", "-": "MINUS",
-            "(": "LPAR", ")": "RPAR"}
+# one alternative per token class: an ASCII integer, a word (a name, if it
+# starts with a letter or '_'), an operator, blanks, and any other character
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|([-+*/^()])|[ \t]+|(.)", re.DOTALL)
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line: int, col: int) -> list[_Token]:
+def _tokenize(text: str, line: int, col: int) -> list[tuple]:
+    """(kind, text, col) triples ending in an EOF token; an operator is its
+    own kind, the others are INT and NAME."""
     tokens = []
-    i = 0
-    cur_col = col
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            cur_col += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:  # blanks
             continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(_SYMBOLS[ch], ch, line, cur_col))
-            i += 1
-            cur_col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, cur_col))
-            cur_col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, cur_col))
-            cur_col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, cur_col)
-    tokens.append(_Token("EOF", "", line, cur_col))
+        tok = match.group(group)
+        at = col + match.start()
+        if group == 1:
+            tokens.append(("INT", tok, at))
+        elif group == 3:
+            tokens.append((tok, tok, at))
+        elif group == 2 and (tok[0].isalpha() or tok[0] == "_"):
+            tokens.append(("NAME", tok, at))
+        else:
+            raise ParseError(f"unexpected character {tok[0]!r}", line, at)
+    tokens.append(("EOF", "", col + len(text)))
     return tokens
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[_Token], field: CoefficientField, names: list[str]):
+    """Recursive descent over the tokens of one polynomial.
+
+    Every rule returns a fresh term dict {exponent tuple: nonzero scalar}
+    that its caller owns and may change in place.
+    """
+
+    def __init__(self, tokens: list[tuple], field: CoefficientField, names: list[str],
+                 line: int):
         self.tokens = tokens
         self.pos = 0
+        self.line = line
         self.field = field
-        self.names = names
-        self.nvars = len(names)
-        self.var_index = {name: i for i, name in enumerate(names)}
-        self.t_is_scalar = isinstance(field, RationalFunctionField) and "t" not in self.var_index
+        n = len(names)
+        self.zero = (0,) * n
+        self.units = {
+            name: tuple(1 if j == i else 0 for j in range(n)) for i, name in enumerate(names)
+        }
+        self.one = field.one()
+        # t over Q(t) is the scalar phi(1); t^k is read as phi(k), found by identity
+        scalar_t = isinstance(field, RationalFunctionField) and "t" not in self.units
+        self.t = field.phi(1) if scalar_t else None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
+    def take(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, self.line, self.tokens[self.pos][2])
 
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        if self.peek().kind != "EOF":
-            self.error(f"unexpected {self.peek().text!r}")
-        return poly
+    def parse(self) -> dict:
+        terms = self.expr()
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "EOF":
+            self.error(f"unexpected {text!r}")
+        return terms
 
-    def _sign_run(self) -> int:
-        sign = 1
-        while self.peek().kind in ("PLUS", "MINUS"):
-            if self.take().kind == "MINUS":
-                sign = -sign
-        return sign
+    def _sign_run(self) -> bool:
+        """Consume a run of signs; True if it negates."""
+        negate = False
+        while self.tokens[self.pos][0] in ("+", "-"):
+            if self.take()[0] == "-":
+                negate = not negate
+        return negate
 
-    def expr(self) -> Polynomial:
-        sign = self._sign_run()
+    def expr(self) -> dict:
+        field = self.field
+        negate = self._sign_run()
         acc = self.term()
-        if sign < 0:
-            acc = -acc
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = self._sign_run()
-            t = self.term()
-            acc = acc + t if sign > 0 else acc - t
+        if negate:
+            acc = {m: field.neg(c) for m, c in acc.items()}
+        while self.tokens[self.pos][0] in ("+", "-"):
+            negate = self._sign_run()
+            combine = field.sub if negate else field.add
+            for m, c in self.term().items():
+                cur = acc.get(m)
+                if cur is None:
+                    acc[m] = field.neg(c) if negate else c
+                else:
+                    s = combine(cur, c)
+                    if field.is_zero(s):
+                        del acc[m]
+                    else:
+                        acc[m] = s
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.power()
         while True:
-            kind = self.peek().kind
-            if kind == "STAR":
-                self.take()
-                acc = acc * self.power()
-            elif kind == "SLASH":
-                tok = self.take()
-                divisor = self.power()
-                acc = self._divide(acc, divisor, tok)
-            elif kind in ("INT", "NAME", "LPAR"):
-                acc = acc * self.power()  # implicit multiplication
+            tok = self.tokens[self.pos]
+            kind = tok[0]
+            if kind == "*":
+                self.pos += 1
+                acc = self._mul(acc, self.power())
+            elif kind == "/":
+                self.pos += 1
+                acc = self._divide(acc, self.power(), tok)
+            elif kind in ("INT", "NAME", "("):
+                acc = self._mul(acc, self.power())  # implicit multiplication
             else:
                 return acc
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
-        if self.peek().kind == "CARET":
-            self.take()
-            tok = self.peek()
-            if tok.kind != "INT":
-                self.error("expected a nonnegative integer exponent")
-            self.take()
-            exponent = int(tok.text)
-            out = Polynomial.constant(self.field, self.nvars, self.field.one())
-            for _ in range(exponent):
-                out = out * base
-            return out
-        return base
+        if self.tokens[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "INT":
+            self.error("expected a nonnegative integer exponent")
+        self.pos += 1
+        k = int(text)
+        if k == 0:
+            return {self.zero: self.one}
+        if len(base) == 1:  # one term: multiply the exponents, power the scalar
+            ((m, c),) = base.items()
+            if c is self.t:
+                c = self.field.phi(k)
+            elif c is not self.one:
+                c = _binary_power(c, k, self.field.mul)
+                if self.field.is_zero(c):  # possible over Z/p^m
+                    return {}
+            return {tuple(e * k for e in m): c}
+        return _binary_power(base, k, self._mul)  # a sum, or zero
 
-    def atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.take()
-            return Polynomial.constant(self.field, self.nvars, int(tok.text))
-        if tok.kind == "NAME":
-            self.take()
-            idx = self.var_index.get(tok.text)
-            if idx is not None:
-                return Polynomial.variable(self.field, self.nvars, idx)
-            if tok.text == "t" and self.t_is_scalar:
-                return Polynomial.constant(self.field, self.nvars, self.field.phi(1))
-            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "LPAR":
-            self.take()
+    def atom(self) -> dict:
+        kind, text, col = self.take()
+        if kind == "INT":
+            c = self.field.coerce(int(text))
+            return {} if self.field.is_zero(c) else {self.zero: c}
+        if kind == "NAME":
+            unit = self.units.get(text)
+            if unit is not None:
+                return {unit: self.one}
+            if text == "t" and self.t is not None:
+                return {self.zero: self.t}
+            raise ParseError(f"unknown variable {text!r}", self.line, col)
+        if kind == "(":
             inner = self.expr()
-            if self.peek().kind != "RPAR":
+            if self.tokens[self.pos][0] != ")":
                 self.error("expected ')'")
-            self.take()
+            self.pos += 1
             return inner
-        self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+        message = f"unexpected {text!r}" if text else "unexpected end of input"
+        raise ParseError(message, self.line, col)
 
-    def _divide(self, num: Polynomial, den: Polynomial, tok: _Token) -> Polynomial:
-        if den.is_zero():
-            raise ParseError("division by zero", tok.line, tok.col)
-        nonconstant = [m for m in den.terms if any(m)]
-        if nonconstant:
+    def _mul(self, a: dict, b: dict) -> dict:
+        field = self.field
+        one = self.one
+        if len(a) == 1 or len(b) == 1:  # a shift and a scaling
+            if len(a) != 1:
+                a, b = b, a
+            ((m1, c1),) = a.items()
+            out = {}
+            for m2, c2 in b.items():
+                c = c2 if c1 is one else c1 if c2 is one else field.mul(c1, c2)
+                if not field.is_zero(c):  # possible over Z/p^m
+                    out[tuple(map(add, m1, m2))] = c
+            return out
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                prod = field.mul(c1, c2)
+                cur = out.get(m)
+                if cur is None:
+                    if not field.is_zero(prod):
+                        out[m] = prod
+                else:
+                    s = field.add(cur, prod)
+                    if field.is_zero(s):
+                        del out[m]
+                    else:
+                        out[m] = s
+        return out
+
+    def _divide(self, num: dict, den: dict, tok: tuple) -> dict:
+        if not den:
+            raise ParseError("division by zero", self.line, tok[2])
+        if any(any(m) for m in den):
             raise ParseError(
-                "can only divide by a constant (scalar) expression", tok.line, tok.col
+                "can only divide by a constant (scalar) expression", self.line, tok[2]
             )
-        scalar = next(iter(den.terms.values()))
-        return num.scale(self.field.inv(scalar))
+        return self._mul(num, {self.zero: self.field.inv(next(iter(den.values())))})
+
+
+def _binary_power(x, k: int, mul):
+    """x^k for k >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 def parse_polynomial(
@@ -220,15 +278,16 @@ def parse_polynomial(
     line: int = 1,
     col: int = 1,
 ) -> Polynomial:
-    tokens = _tokenize(text, line, col)
-    return _ExprParser(tokens, field, names).parse()
+    terms = _ExprParser(_tokenize(text, line, col), field, names, line).parse()
+    return Polynomial(field, len(names), terms, _clean=True)
 
 
 # ---------------------------------------------------------------------------
 # problem files
 # ---------------------------------------------------------------------------
 
-_DIRECTIVES = ("field", "vars", "order", "weight", "ideal", "target")
+# a directive word at the start of a line, then the line's end, a blank or ':'
+_DIRECTIVE = re.compile(r"(?:field|vars|order|weight|ideal|target)(?![^ \t:])")
 
 
 def _strip_comment(line: str) -> str:
@@ -289,12 +348,9 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         lead = stripped.lstrip()
         indent = len(stripped) - len(lead)
-        word = None
-        for directive in _DIRECTIVES:
-            if lead == directive or lead.startswith((directive + " ", directive + ":", directive + "\t")):
-                word = directive
-                break
-        if word is not None:
+        directive = _DIRECTIVE.match(lead)
+        if directive is not None:
+            word = directive.group()
             rest = lead[len(word):]
             consumed = indent + len(word)
             if rest.startswith(":"):

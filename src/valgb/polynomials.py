@@ -7,7 +7,7 @@ returns a fresh object and per-order leading data is memoized on instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from operator import add, le, sub
 from typing import Iterator
 
@@ -37,16 +37,50 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
+class _SortKeys(dict):
+    """Monomial -> sort key of one (kind, priority), filled on first lookup.
+
+    A table that reaches ``_SORT_KEYS_MAX`` entries starts afresh, so the
+    tables, which live as long as the process, stay bounded.
+    """
+
+    __slots__ = ("kind", "priority")
+
+    def __init__(self, kind: str, priority: tuple | None):
+        super().__init__()
+        self.kind = kind
+        self.priority = priority
+
+    def __missing__(self, m):
+        pm = m if self.priority is None else tuple(m[i] for i in self.priority)
+        if self.kind == "lex":
+            key = pm
+        else:
+            key = (sum(pm), tuple(-e for e in reversed(pm)))
+        if len(self) >= _SORT_KEYS_MAX:
+            self.clear()
+        self[m] = key
+        return key
+
+
+# (kind, priority) -> its key table, shared by all equal term orders
+_SORT_KEYS: dict = {}
+_SORT_KEYS_MAX = 1 << 16
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """Classical monomial order: lex or grevlex, with a variable priority.
 
     ``priority`` lists variable indices from most to least significant;
-    None means declaration order (0, 1, ..., n-1).
+    None means declaration order (0, 1, ..., n-1).  ``_keys`` is the sort-key
+    table that all equal term orders share; it takes no part in equality or
+    hashing.
     """
 
     kind: str
     priority: tuple | None = None
+    _keys: dict = dc_field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex"):
@@ -56,18 +90,15 @@ class TermOrder:
             if sorted(pr) != list(range(len(pr))):
                 raise ValueError("priority must be a permutation of variable indices")
             object.__setattr__(self, "priority", pr)
-
-    def _permute(self, m: Monomial) -> tuple:
-        if self.priority is None:
-            return m
-        return tuple(m[i] for i in self.priority)
+        spec = (self.kind, self.priority)
+        keys = _SORT_KEYS.get(spec)
+        if keys is None:
+            keys = _SORT_KEYS[spec] = _SortKeys(*spec)
+        object.__setattr__(self, "_keys", keys)
 
     def sort_key(self, m: Monomial):
         """Key that sorts monomials ascending in this order (larger key = larger)."""
-        pm = self._permute(m)
-        if self.kind == "lex":
-            return pm
-        return (sum(pm), tuple(-e for e in reversed(pm)))
+        return self._keys[m]
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """+1 if a is larger, -1 if smaller, 0 if equal."""
@@ -276,7 +307,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
     if nvars < 1:
         raise ValueError("need at least one variable")
     out = list(compositions(nvars, d))
-    out.sort(key=GREVLEX.sort_key, reverse=True)
+    out.sort(key=GREVLEX._keys.__getitem__, reverse=True)
     return out
 
 
@@ -303,8 +334,7 @@ def poly_to_str(
         return "0"
     if names is None:
         names = default_names(f.nvars)
-    key = (order or GREVLEX).sort_key
-    monos = sorted(f.terms, key=key, reverse=True)
+    monos = sorted(f.terms, key=(order or GREVLEX)._keys.__getitem__, reverse=True)
     parts = []
     for m in monos:
         neg, mag = f.field.format_coefficient(f.terms[m])

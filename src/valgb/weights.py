@@ -44,17 +44,21 @@ def weight_dot(weights, mono: Monomial) -> int:
 
 
 class _RankTable(dict):
-    """Monomial -> (w.m, tiebreak sort key), filled on first lookup."""
+    """Monomial -> (w.m, tiebreak sort key), filled on first lookup from the
+    tiebreak's shared key table and the nonzero weights."""
 
-    __slots__ = ("weights", "sort_key")
+    __slots__ = ("weighted", "keys")
 
     def __init__(self, weights, tiebreak: TermOrder):
         super().__init__()
-        self.weights = weights
-        self.sort_key = tiebreak.sort_key
+        self.weighted = [(i, w) for i, w in enumerate(weights) if w]
+        self.keys = tiebreak._keys
 
     def __missing__(self, m):
-        rank = self[m] = (weight_dot(self.weights, m), self.sort_key(m))
+        wm = 0
+        for i, w in self.weighted:
+            wm += w * m[i]
+        rank = self[m] = (wm, self.keys[m])
         return rank
 
 

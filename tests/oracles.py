@@ -3,11 +3,12 @@
 Everything here is deliberately self-contained: plain dict polynomials with
 Fraction or mod-p arithmetic, classical long division by leading terms, and
 an unoptimized completion loop without skip criteria.  None of it imports
-the package's own division, basis or elimination machinery, except three
+the package's own division, basis or elimination machinery, except the
 earlier package algorithms kept as references for their replacements: the
 eager tangent-cone division uses only the package's polynomials and leading
-terms, and the division tail reduction and the Fraction completion loop use
-the package's division.
+terms, the division tail reduction and the Fraction completion loop use the
+package's division, and the Polynomial-product expression parser and the
+cardinality sampler use only the package's polynomials and fields.
 """
 
 from __future__ import annotations
@@ -637,3 +638,224 @@ def fraction_is_basis_of(elements, generators, order, max_coeff_bits=None):
             if not s.is_zero() and not normal_form(s, G, order).remainder.is_zero():
                 return False
     return True
+
+
+# -- Polynomial-product expression parser ---------------------------------------
+
+
+def oracle_parse_polynomial(text, field, names, line=1, col=1):
+    """The package's earlier expression parser, kept as the reference for the
+    term-dict one: a character-by-character tokenizer (``str.isdigit``
+    integers) and one ``Polynomial`` per atom, with ``m^k`` as k products."""
+    from dataclasses import dataclass
+
+    from valgb.fields import RationalFunctionField
+    from valgb.parsing import ParseError
+    from valgb.polynomials import Polynomial
+
+    symbols = {"^": "CARET", "*": "STAR", "/": "SLASH", "+": "PLUS", "-": "MINUS",
+               "(": "LPAR", ")": "RPAR"}
+
+    @dataclass
+    class Token:
+        kind: str
+        text: str
+        line: int
+        col: int
+
+    def tokenize(text, line, col):
+        tokens = []
+        i = 0
+        cur_col = col
+        while i < len(text):
+            ch = text[i]
+            if ch in " \t":
+                i += 1
+                cur_col += 1
+                continue
+            if ch in symbols:
+                tokens.append(Token(symbols[ch], ch, line, cur_col))
+                i += 1
+                cur_col += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < len(text) and text[j].isdigit():
+                    j += 1
+                tokens.append(Token("INT", text[i:j], line, cur_col))
+                cur_col += j - i
+                i = j
+                continue
+            if ch.isalpha() or ch == "_":
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                tokens.append(Token("NAME", text[i:j], line, cur_col))
+                cur_col += j - i
+                i = j
+                continue
+            raise ParseError(f"unexpected character {ch!r}", line, cur_col)
+        tokens.append(Token("EOF", "", line, cur_col))
+        return tokens
+
+    tokens = tokenize(text, line, col)
+    pos = 0
+    nvars = len(names)
+    var_index = {name: i for i, name in enumerate(names)}
+    t_is_scalar = isinstance(field, RationalFunctionField) and "t" not in var_index
+
+    def peek():
+        return tokens[pos]
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def error(message):
+        raise ParseError(message, peek().line, peek().col)
+
+    def sign_run():
+        sign = 1
+        while peek().kind in ("PLUS", "MINUS"):
+            if take().kind == "MINUS":
+                sign = -sign
+        return sign
+
+    def expr():
+        sign = sign_run()
+        acc = term()
+        if sign < 0:
+            acc = -acc
+        while peek().kind in ("PLUS", "MINUS"):
+            sign = sign_run()
+            t = term()
+            acc = acc + t if sign > 0 else acc - t
+        return acc
+
+    def term():
+        acc = power()
+        while True:
+            kind = peek().kind
+            if kind == "STAR":
+                take()
+                acc = acc * power()
+            elif kind == "SLASH":
+                tok = take()
+                den = power()
+                if den.is_zero():
+                    raise ParseError("division by zero", tok.line, tok.col)
+                if [m for m in den.terms if any(m)]:
+                    raise ParseError(
+                        "can only divide by a constant (scalar) expression", tok.line, tok.col
+                    )
+                acc = acc.scale(field.inv(next(iter(den.terms.values()))))
+            elif kind in ("INT", "NAME", "LPAR"):
+                acc = acc * power()
+            else:
+                return acc
+
+    def power():
+        base = atom()
+        if peek().kind == "CARET":
+            take()
+            tok = peek()
+            if tok.kind != "INT":
+                error("expected a nonnegative integer exponent")
+            take()
+            out = Polynomial.constant(field, nvars, field.one())
+            for _ in range(int(tok.text)):
+                out = out * base
+            return out
+        return base
+
+    def atom():
+        tok = peek()
+        if tok.kind == "INT":
+            take()
+            return Polynomial.constant(field, nvars, int(tok.text))
+        if tok.kind == "NAME":
+            take()
+            idx = var_index.get(tok.text)
+            if idx is not None:
+                return Polynomial.variable(field, nvars, idx)
+            if tok.text == "t" and t_is_scalar:
+                return Polynomial.constant(field, nvars, field.phi(1))
+            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+        if tok.kind == "LPAR":
+            take()
+            inner = expr()
+            if peek().kind != "RPAR":
+                error("expected ')'")
+            take()
+            return inner
+        error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+
+    poly = expr()
+    if peek().kind != "EOF":
+        error(f"unexpected {peek().text!r}")
+    return poly
+
+
+# -- cardinality sampling -------------------------------------------------------
+
+
+def oracle_sample_pair(e, rng, height=20):
+    """The package's earlier ``sample_pair``, which rebuilds its list of odd or
+    even values for every coefficient it draws."""
+    from valgb.fields import Qp
+    from valgb.polynomials import Polynomial, monomials_of_degree
+
+    d = 2 * e
+    monos = monomials_of_degree(3, d)
+    x1d, x2e3e = (d, 0, 0), (0, e, e)
+
+    def odd():
+        return rng.choice([c for c in range(-height, height + 1) if c % 2 == 1])
+
+    def even():
+        return rng.choice([c for c in range(-height, height + 1) if c % 2 == 0 and c != 0])
+
+    f_terms = {m: (odd() if m == x1d else even()) for m in monos}
+    g_terms = {m: (odd() if m == x2e3e else even()) for m in monos}
+    return Polynomial(Qp(2), 3, f_terms), Polynomial(Qp(2), 3, g_terms)
+
+
+# -- Q(t) text from Fraction views ----------------------------------------------
+
+
+def _fraction_t_text(coeffs):
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        body = str(mag) if k == 0 else ("t" if k == 1 else f"t^{k}")
+        if k and mag != 1:
+            body = f"{mag}*{body}"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
+    return "".join(parts) or "0"
+
+
+def fraction_format_coefficient(a):
+    """The package's earlier ``format_coefficient`` over Q(t), read off the
+    Fraction views ``num`` and ``den`` (numerator over a monic denominator)."""
+    num, den = a.num, a.den
+    low = next((c for c in num if c != 0), 0)
+    neg = low < 0
+    if neg:
+        num = tuple(-c for c in num)
+    if den == (Fraction(1),):
+        body = _fraction_t_text(num)
+        if sum(1 for c in num if c != 0) > 1:
+            body = f"({body})"
+        return neg, body
+    return neg, f"({_fraction_t_text(num)})/({_fraction_t_text(den)})"
+
+
+def fraction_ratfunc_repr(a):
+    """The earlier ``repr`` of a ``RatFunc``, from its Fraction views."""
+    num, den = a.num, a.den
+    if den == (Fraction(1),):
+        return _fraction_t_text(num)
+    return f"({_fraction_t_text(num)})/({_fraction_t_text(den)})"

@@ -81,3 +81,15 @@ def test_forced_degenerate_sample_is_resampled_or_fails():
             resampled.append(seed)
     assert resampled == [4, 9, 10]
     assert failed == []
+
+
+def test_sample_pair_matches_per_draw_pools():
+    from oracles import oracle_sample_pair
+
+    for e in (1, 2, 3):
+        for seed in range(10):
+            for attempt in range(3):
+                name = f"cardinality-{e}-{seed}-{attempt}"
+                rng, oracle_rng = random.Random(name), random.Random(name)
+                assert sample_pair(e, rng) == oracle_sample_pair(e, oracle_rng), name
+                assert rng.getstate() == oracle_rng.getstate(), name

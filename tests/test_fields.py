@@ -353,3 +353,24 @@ def test_prime_validation():
         GF(1)
     with pytest.raises(ValueError):
         ModPmRing(6, 2)
+
+
+def test_qt_text_from_integer_parts_matches_fraction_views():
+    from oracles import fraction_format_coefficient, fraction_ratfunc_repr
+
+    qt = Qt()
+    rng = random.Random(17)
+    samples = [RatFunc((3, 1), (2, 4)), RatFunc((-6,), (4,)), RatFunc((0, 2), (6, 0, 3)),
+               RatFunc((Fraction(1, 2), 1)), RatFunc((1,), (-3, 0, 2))]
+    for _ in range(600):
+        def t_poly():
+            return tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                         if rng.random() < 0.3 else rng.randint(-5, 5)
+                         for _ in range(rng.randint(1, 4)))
+        den = t_poly()
+        if any(den):
+            samples.append(RatFunc(t_poly(), den))
+    for x in samples:
+        assert repr(x) == fraction_ratfunc_repr(x), x.integer_parts
+        if not x.is_zero():
+            assert qt.format_coefficient(x) == fraction_format_coefficient(x), x.integer_parts

@@ -154,3 +154,45 @@ def test_unbalanced_parens():
         parse_polynomial("(x+y", QQ, ["x", "y"])
     with pytest.raises(ParseError):
         parse_polynomial("x+y)", QQ, ["x", "y"])
+
+
+def test_unicode_digits_are_not_integers():
+    # str.isdigit accepts superscripts; integer tokens are ASCII digits only
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x^²", QQ, ["x"])
+    assert err.value.message == "unexpected character '²'"
+    assert (err.value.line, err.value.col) == (1, 3)
+    with pytest.raises(ParseError) as err:
+        parse_problem("field Q\nvars x\nideal: 3x+x^١\n")
+    assert err.value.message == "unexpected character '١'"
+    assert (err.value.line, err.value.col) == (3, 13)
+
+
+def test_unicode_identifiers_still_parse():
+    f = parse_polynomial("é^2+ß_1*é-2ß_1", QQ, ["é", "ß_1"])
+    assert f.terms == {(2, 0): 1, (1, 1): 1, (0, 1): -2}
+    assert parse_problem("field Q\nvars é,y\nideal: é*y\n").generators[0].terms == {(1, 1): 1}
+
+
+def test_powers_cost_one_step():
+    f = parse_polynomial("x^1000000", QQ, ["x", "y"])
+    assert f.terms == {(1000000, 0): 1}
+    qt = Qt()
+    g = parse_polynomial("t^100000*x", qt, ["x"])
+    assert g.terms == {(1,): qt.phi(100000)}
+    h = parse_polynomial("-(2x^3y)^7/t^4", qt, ["x", "y"])
+    assert h.terms == {(21, 7): qt.coerce(-128) * qt.phi(-4)}
+
+
+def test_powers_match_repeated_products():
+    from oracles import oracle_parse_polynomial
+
+    names = ["x", "y"]
+    for text, field in [("(x+2y)^5", QQ), ("(x-t y)^4", Qt()), ("(3x+y)^3/9", Qp(3)),
+                        ("x^0", QQ), ("(x+y)^0", QQ), ("t^0*x", Qt()), ("0^0", QQ),
+                        ("(x-x)^3", QQ), ("0^2", QQ)]:
+        assert parse_polynomial(text, field, names) == oracle_parse_polynomial(
+            text, field, names), text
+    assert parse_polynomial("x^0", QQ, names).terms == {(0, 0): 1}
+    assert parse_polynomial("(x+y)^0", QQ, names).terms == {(0, 0): 1}
+    assert parse_polynomial("t^0*x", Qt(), names).terms == {(1, 0): Qt().one()}

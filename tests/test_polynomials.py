@@ -1,5 +1,6 @@
 """Polynomial arithmetic, homogeneity, term orders, monomial enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -198,3 +199,47 @@ def test_qt_denominator_round_trip():
     g = P(Qt(), "x,y", "(1+t)*x+t*y").scale(Qt().inv(Qt().coerce(3) + Qt().phi(1)))
     printed = poly_to_str(g, names)
     assert parse_polynomial(printed, Qt(), names) == g
+
+
+def _closed_form(kind, priority, m):
+    pm = m if priority is None else tuple(m[i] for i in priority)
+    if kind == "lex":
+        return pm
+    return (sum(pm), tuple(-e for e in reversed(pm)))
+
+
+def test_equal_orders_share_one_key_table():
+    assert TermOrder("grevlex", (2, 0, 1))._keys is TermOrder("grevlex", (2, 0, 1))._keys
+    assert TermOrder("lex")._keys is LEX._keys
+    tables = {id(TermOrder(kind, pr)._keys)
+              for kind in ("lex", "grevlex") for pr in (None, (0, 1, 2), (1, 0, 2))}
+    assert len(tables) == 6
+
+
+def test_shared_keys_stay_per_term_order():
+    m = (1, 0, 2)
+    assert TermOrder("lex", (2, 0, 1)).sort_key(m) != TermOrder("grevlex", (2, 0, 1)).sort_key(m)
+    assert TermOrder("grevlex", (0, 1, 2)).sort_key(m) != TermOrder("grevlex", (2, 1, 0)).sort_key(m)
+    priorities = [None, *itertools.permutations(range(3))]
+    orders = [TermOrder(kind, pr) for pr in priorities for kind in ("lex", "grevlex")]
+    monos = [m for d in range(5) for m in _monomials(3, d)]
+    rng = random.Random(3)
+    lookups = [(order, m) for order in orders for m in monos]
+    rng.shuffle(lookups)  # interleave the tables' fills
+    for order, m in lookups:
+        assert order.sort_key(m) == _closed_form(order.kind, order.priority, m)
+    for order in orders:
+        for m in monos:
+            assert order.sort_key(m) == _closed_form(order.kind, order.priority, m)
+
+
+def test_full_key_table_starts_afresh(monkeypatch):
+    from valgb import polynomials
+
+    monkeypatch.setattr(polynomials, "_SORT_KEYS_MAX", 8)
+    order = TermOrder("grevlex", (2, 1, 0))
+    order._keys.clear()  # other tests may have filled the shared table
+    monos = [m for d in range(4) for m in _monomials(3, d)]
+    for m in monos + monos:
+        assert order.sort_key(m) == _closed_form("grevlex", (2, 1, 0), m)
+        assert len(order._keys) <= 8

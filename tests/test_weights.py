@@ -218,3 +218,14 @@ def test_rank_table_leaves_equality_and_hash_alone():
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert {cold: "order"}[warm] == "order"
+
+
+def test_rank_table_reads_the_shared_keys():
+    rng = random.Random(11)
+    for weights in [(0, 0, 0), (0, -2, 0), (3, 0, -1), (1, 2, 3)]:
+        for tiebreak in (TermOrder("lex", (1, 2, 0)), TermOrder("grevlex")):
+            ranks = WeightedOrder(weights, tiebreak)._ranks
+            for _ in range(30):
+                m = tuple(rng.randint(0, 4) for _ in range(3))
+                assert ranks[m] == (weight_dot(weights, m), tiebreak.sort_key(m))
+                assert ranks[m][1] is tiebreak._keys[m]
