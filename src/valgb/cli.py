@@ -86,7 +86,7 @@ def _cmd_gb(args) -> int:
             progress=progress,
             **limits,
         )
-        basis = reduce_basis(raw, max_steps=args.max_steps)
+        basis = reduce_basis(raw)
     for g in basis.elements:
         _print_poly(g, problem)
     if args.verify:

@@ -10,11 +10,14 @@ the completion loop and ``is_basis_of`` work on integers: each element is
 read as its memoized primitive integer form, each S-polynomial is formed on
 those forms and handed to the division with its own integer form already
 memoized, and a new element is made monic once, from the division's integer
-remainder.  Over Q and Qp the reduced basis is read off one sparse integer
-RREF per degree instead of division (F4's symbolic preprocessing, Faugere
-1999), so its entries are ratios of minors; the lift of
-``lifting.gb_mod_pm`` reads its rows with the same routine.  Q(t), GF(p)
-and Z/p^m use ``s_polynomial`` and ``monic`` and tail-reduce by division.
+remainder.  Q(t), GF(p) and Z/p^m use ``s_polynomial`` and ``monic``.
+
+The reduced basis is never tail-reduced by division.  Over every field it
+is read off one sparse RREF per degree (F4's symbolic preprocessing,
+Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
+its entries are ratios of minors, and on rows of field scalars over GF(p)
+and Q(t).  The lift of ``lifting.gb_mod_pm`` reads its rows with the same
+routine.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .division import _combine, _integer_terms, _with_integer_terms, normal_form
-from .fields import QpField, RationalField
+from .fields import ModPmRing, QpField, RationalField
 from .linalg import rref
 from .polynomials import (
     Monomial,
@@ -256,12 +259,14 @@ def sort_basis(elements: list, order: WeightedOrder) -> list:
 
 def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
     """The reduced element of each target monomial, read off the RREF of
-    integer term-dict rows whose columns put the block monomials first.
+    term-dict rows whose columns put the block monomials first.
 
-    Returns None unless the pivots are exactly the block; otherwise row t of
-    the RREF, divided by its pivot entry, is the element for target t (the
-    targets lie in the block).  The RREF is unique, so neither the row order
-    nor the order of the columns within and after the block matters.
+    The rows hold integers over Q and Qp and the field's scalars otherwise
+    (``linalg.rref`` takes the row operation from the field).  Returns None
+    unless the pivots are exactly the block; otherwise row t of the RREF,
+    divided by its pivot entry, is the element for target t (the targets
+    lie in the block).  The RREF is unique, so neither the row order nor the
+    order of the columns within and after the block matters.
     """
     index = {m: i for i, m in enumerate(block)}
     for terms in rows:
@@ -275,20 +280,24 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
         for m, c in terms.items():
             row[index[m]] = c
         dense.append(row)
-    reduced, pivots = rref(dense)
+    reduced, pivots = rref(dense, field)
     if pivots != list(range(len(block))):
         return None
+    integral = isinstance(field, (RationalField, QpField))
     out = []
     for t in targets:
         row = reduced[index[t]]
-        den = row[index[t]]
-        terms = {columns[c]: Fraction(v, den) for c, v in row.items()}
+        if integral:
+            den = row[index[t]]
+            terms = {columns[c]: Fraction(v, den) for c, v in row.items()}
+        else:  # the pivot entry is already one
+            terms = {columns[c]: v for c, v in row.items()}
         out.append(Polynomial(field, nvars, terms, _clean=True))
     return out
 
 
 def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
-    """Reduced elements for the targets over Q or Qp, one degree at a time.
+    """Reduced elements for the targets, one degree at a time.
 
     The rows start with the element whose leading monomial is each target;
     every leading-ideal monomial met in a row that has no row yet gets one
@@ -298,10 +307,11 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
     combination avoids the leading ideal: the pivots are exactly the block.
     """
     field, nvars = elements[0].field, elements[0].nvars
+    integral = isinstance(field, (RationalField, QpField))
     reducer = {}
     for g, lm in zip(elements, lms):
         if lm not in reducer:
-            reducer[lm] = _integer_terms(g)[0]
+            reducer[lm] = _integer_terms(g)[0] if integral else g.terms
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
         of_degree = [t for t in targets if mono_degree(t) == d]
@@ -334,15 +344,16 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
     return out
 
 
-def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBasis:
+def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     """The unique reduced basis: minimal leading monomials, monic, tail-reduced.
 
-    The input must be a Groebner basis.  For each minimal leading monomial
-    x^u the element x^u - r is emitted, where r is the unique combination of
-    monomials outside the leading ideal with x^u - r in the ideal.  Over Q
-    and Qp it is read off a sparse integer RREF (``_reduce_by_elimination``),
-    whose entries are bounded by minors; over other fields r is the normal
-    form of x^u against the basis, within ``max_steps`` division steps.
+    The input must be a homogeneous Groebner basis over a field.  For each
+    minimal leading monomial x^u the element x^u - r is emitted, where r is
+    the unique combination of monomials outside the leading ideal with
+    x^u - r in the ideal.  It is read off one sparse RREF per degree
+    (``_reduce_by_elimination``); over Q and Qp its rows are primitive
+    integers, so its entries are bounded by minors.  Z/p^m with m > 1 is not
+    a field and raises ``ValueError``.
     """
     elements = [g for g in gb.elements if not g.is_zero()]
     if not elements:
@@ -354,18 +365,12 @@ def reduce_basis(gb: GroebnerBasis, *, max_steps: int = 1_000_000) -> GroebnerBa
         raise ValueError("basis field/variable mismatch")
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
+    if isinstance(fld, ModPmRing) and fld.m > 1:
+        raise ValueError(f"{fld.label} is not a field; reduced bases need one")
+    if not all(g.is_homogeneous() for g in elements):
+        raise ValueError("basis elements must be homogeneous")
     lms = [leading_term(g, order)[1] for g in elements]
-    targets = minimal_generators(lms)
-    if isinstance(fld, (RationalField, QpField)):
-        if not all(g.is_homogeneous() for g in elements):
-            raise ValueError("basis elements must be homogeneous")
-        out = _reduce_by_elimination(elements, lms, targets)
-    else:
-        out = []
-        for m in targets:
-            target = Polynomial.term(fld, n, m, fld.one())
-            r = normal_form(target, elements, order, max_steps=max_steps).remainder
-            out.append(target - r)
+    out = _reduce_by_elimination(elements, lms, minimal_generators(lms))
     return GroebnerBasis(sort_basis(out, order), order)
 
 

@@ -8,8 +8,8 @@ initial monomial ideal, and reconstruct the reduced rational basis degree by
 degree.  The reconstruction row reduces all the generators' multiples of
 each degree as primitive integer rows and builds Fractions only for the rows
 it returns.  It reads the RREF with the routine that gives ``reduce_basis``
-its reduced bases over Q and Qp; only the rows differ, since the generators
-are not a basis.  It fails loudly when m was too small, so the whole
+its reduced bases over every field; only the rows differ, since the
+generators are not a basis.  It fails loudly when m was too small, so the whole
 pipeline verifies over Q and retries with doubled m.  The reconstruction
 takes Q and Qp generators only; Hilbert dimensions take any field.
 """
@@ -268,6 +268,5 @@ def gb_mod_pm(
             use_criteria=use_criteria,
             max_steps=max_steps,
             max_coeff_bits=max_coeff_bits,
-        ),
-        max_steps=max_steps,
+        )
     )

@@ -1,16 +1,23 @@
-"""Exact linear algebra over Z: sparse reduced row echelon form.
+"""Exact linear algebra over a field: sparse reduced row echelon form.
 
-Integer rows are held as dicts col -> nonzero entry and eliminated Gauss-
-Jordan style on primitive rows: each pivot column is cleared only from the
-rows that hold it, and every row it touches is divided by its content.
+Rows are held as dicts col -> nonzero entry and eliminated Gauss-Jordan
+style: each pivot column is cleared only from the rows that hold it.
 Macaulay matrices are very sparse (as in F4's linear algebra), so most rows
 are left alone at most pivots.  The RREF is unique, so any row holding the
 pivot column serves; the one with the fewest entries is taken.
+
+The field picks the row operation.  Over Q and Qp the rows are integers and
+stay primitive: every row a pivot touches is divided by its content, so no
+Fraction is built.  Over any other field (GF(p), Q(t)) the rows hold the
+field's scalars, each pivot row is scaled to a pivot entry of one, and a
+row r becomes r - r[col]*pivot row.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .fields import QpField, RationalField
 
 
 def _eliminate(r: dict, col: int, p: int, top_rest: list) -> dict:
@@ -34,16 +41,39 @@ def _eliminate(r: dict, col: int, p: int, top_rest: list) -> dict:
     return r
 
 
-def rref(rows: list[list[int]]) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row echelon form of dense integer rows, as sparse rows.
+def _unit_eliminate(field):
+    """The row operation r - r[col]*top over a field whose pivot rows top
+    have entry one at col; it takes the arguments of ``_eliminate``."""
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
 
-    Returns (rows, pivots): the nonzero rows in pivot order as primitive
-    dicts col -> entry with a positive pivot entry, and their pivot columns;
-    RREF row i is rows[i] divided by rows[i][pivots[i]].  A pending row is
-    always row j minus the unique combination of pivot rows that clears
-    their columns, up to scale, so its primitive form is a ratio of minors
-    and never outgrows fraction-free (Bareiss) elimination.
+    def eliminate(r: dict, col: int, p, top_rest: list) -> dict:
+        f = r.pop(col)
+        for c, v in top_rest:
+            v = sub(r.get(c, zero), mul(f, v))
+            if is_zero(v):
+                del r[c]
+            else:
+                r[c] = v
+        return r
+
+    return eliminate
+
+
+def rref(rows: list[list], field=None) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of dense rows, as sparse rows.
+
+    Returns (rows, pivots): the nonzero rows in pivot order as dicts
+    col -> entry, and their pivot columns; RREF row i is rows[i] divided by
+    rows[i][pivots[i]].  Rows over Q or Qp (or with no field given) are
+    integers, and the returned rows are primitive with a positive pivot
+    entry.  A pending row is then always row j minus the unique combination
+    of pivot rows that clears their columns, up to scale, so its primitive
+    form is a ratio of minors and never outgrows fraction-free (Bareiss)
+    elimination.  Over any other field the rows hold its scalars and every
+    pivot entry is one.
     """
+    integral = field is None or isinstance(field, (RationalField, QpField))
+    eliminate = _eliminate if integral else _unit_eliminate(field)
     # pending rows, bucketed by their first column; all of them are zero in
     # every pivot column found so far
     pending: dict[int, list[dict]] = {}
@@ -58,20 +88,24 @@ def rref(rows: list[list[int]]) -> tuple[list[dict[int, int]], list[int]]:
         if here is None:
             continue
         chosen = here[0] if len(here) == 1 else min(here, key=len)
-        g = gcd(*chosen.values())
-        if chosen[col] < 0:
-            g = -g
-        top = {c: v // g for c, v in chosen.items()} if g != 1 else chosen
+        if integral:
+            g = gcd(*chosen.values())
+            if chosen[col] < 0:
+                g = -g
+            top = {c: v // g for c, v in chosen.items()} if g != 1 else chosen
+        else:
+            inv = field.inv(chosen[col])
+            top = {c: field.mul(v, inv) for c, v in chosen.items()}
         p = top[col]
         top_rest = [(c, v) for c, v in top.items() if c != col]
         for r in here:
             if r is not chosen:
-                r = _eliminate(r, col, p, top_rest)
+                r = eliminate(r, col, p, top_rest)
                 if r:
                     pending.setdefault(min(r), []).append(r)
         for i, r in enumerate(done):
             if col in r:
-                done[i] = _eliminate(r, col, p, top_rest)
+                done[i] = eliminate(r, col, p, top_rest)
         done.append(top)
         pivots.append(col)
     return done, pivots

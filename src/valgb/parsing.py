@@ -337,8 +337,10 @@ def _parse_order_spec(spec: str, names: list[str], line: int, col: int) -> TermO
 def parse_problem(text: str) -> ProblemFile:
     field = None
     names: list[str] | None = None
+    names_at = (1, 1)  # (line, col) of the directive's argument, for errors
     order_spec: tuple[str, int, int] | None = None
     weights: tuple | None = None
+    weights_at = (1, 1)
     poly_chunks: dict[str, list[tuple[str, int, int]]] = {"ideal": [], "target": []}
     section: str | None = None
 
@@ -366,6 +368,7 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ParseError("empty variable list", lineno, rest_col)
                 if len(set(names)) != len(names):
                     raise ParseError("duplicate variable names", lineno, rest_col)
+                names_at = (lineno, rest_col)
                 section = None
             elif word == "order":
                 order_spec = (rest, lineno, rest_col)
@@ -376,6 +379,7 @@ def parse_problem(text: str) -> ProblemFile:
                     weights = tuple(int(w) for w in entries)
                 except ValueError:
                     raise ParseError("weights must be integers", lineno, rest_col) from None
+                weights_at = (lineno, rest_col)
                 section = None
             else:  # ideal / target
                 section = word
@@ -393,7 +397,7 @@ def parse_problem(text: str) -> ProblemFile:
     if names is None:
         raise ParseError("missing 'vars' directive", 1, 1)
     if isinstance(field, RationalFunctionField) and "t" in names:
-        raise ParseError("variable name 't' is reserved over Qt", 1, 1)
+        raise ParseError("variable name 't' is reserved over Qt", *names_at)
 
     if order_spec is None:
         order = TermOrder("grevlex")
@@ -403,7 +407,8 @@ def parse_problem(text: str) -> ProblemFile:
         weights = (0,) * len(names)
     if len(weights) != len(names):
         raise ParseError(
-            f"weight length {len(weights)} does not match {len(names)} variables", 1, 1
+            f"weight length {len(weights)} does not match {len(names)} variables",
+            *weights_at,
         )
 
     if not poly_chunks["ideal"]:

@@ -41,9 +41,7 @@ def initial_ideal(
     gb = buchberger(F, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits)
     forms = [initial_form(g, order.weights) for g in gb.elements]
     residue_order = WeightedOrder((0,) * order.nvars, order.tiebreak)
-    return reduce_basis(
-        GroebnerBasis(forms, residue_order), max_steps=max_steps
-    ).elements
+    return reduce_basis(GroebnerBasis(forms, residue_order)).elements
 
 
 def _strip_variable(f: Polynomial, var: int) -> Polynomial:

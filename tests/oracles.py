@@ -352,14 +352,18 @@ def tp_div(x, y):
 # -- linear algebra -----------------------------------------------------------
 
 
-def gauss_jordan(rows):
+def gauss_jordan(rows, prime=None):
     """Textbook Gauss-Jordan with the first nonzero entry as pivot.
 
     Entries are Fractions (ints are converted) or Q(t) elements; only
-    + - * / and truth tests are used.  Returns (nonzero reduced rows in pivot
-    order, pivot column indices).
+    + - * / and truth tests are used.  With ``prime`` the entries are ints
+    read in GF(prime), and each result entry is reduced into [0, prime).
+    Returns (nonzero reduced rows in pivot order, pivot column indices).
     """
-    m = [[c if hasattr(c, "num") else Fraction(c) for c in r] for r in rows]
+    if prime is None:
+        m = [[c if hasattr(c, "num") else Fraction(c) for c in r] for r in rows]
+    else:
+        m = [[c % prime for c in r] for r in rows]
     pivots = []
     for col in range(len(m[0]) if m else 0):
         k = len(pivots)
@@ -367,11 +371,17 @@ def gauss_jordan(rows):
         if r is None:
             continue
         m[k], m[r] = m[r], m[k]
-        m[k] = [c / m[k][col] for c in m[k]]
+        if prime is None:
+            m[k] = [c / m[k][col] for c in m[k]]
+        else:
+            inv = pow(m[k][col], -1, prime)
+            m[k] = [c * inv % prime for c in m[k]]
         for i in range(len(m)):
             factor = m[i][col]
             if i != k and factor:
                 m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+                if prime is not None:
+                    m[i] = [c % prime for c in m[i]]
         pivots.append(col)
     return m[: len(pivots)], pivots
 

@@ -13,6 +13,7 @@ from valgb import (
     LEX,
     CoefficientBlowup,
     CriticalPair,
+    ModPmRing,
     Polynomial,
     Qp,
     QQ,
@@ -174,9 +175,9 @@ def test_reduce_basis_equals_division_oracle():
     # the former tail reduction by division is the oracle; the elimination
     # must give the same unique reduced basis, element order included
     rng = random.Random("reduce-basis-equality")
-    fields = [Qp(2), Qp(3), Qp(5), QQ]
+    fields = [Qp(2), Qp(3), Qp(5), QQ, Qt(), GF(3), GF(5)]
     budget = 2000
-    trials = 240
+    trials = 420
     skipped = 0
     for trial in range(trials):
         field = fields[trial % len(fields)]
@@ -187,10 +188,14 @@ def test_reduce_basis_equals_division_oracle():
         w = tuple(rng.randint(-3, 3) for _ in range(nvars))
         if not any(w):
             w = (1,) + w[1:]
+        if isinstance(field, ModPmRing):  # trivially valued: weight zero
+            w = (0,) * nvars
         F = [
             random_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=4)
             for _ in range(rng.randint(1, 3))
         ]
+        if all(f.is_zero() for f in F):  # every coefficient vanished mod p
+            F[0] = Polynomial.term(field, nvars, (1,) * nvars, field.one())
         order = WeightedOrder(w, tiebreak)
         try:
             gb = buchberger(F, order, max_coeff_bits=budget)
@@ -218,10 +223,12 @@ def test_reduce_basis_of_cardinality_pair_is_fast():
     assert red.elements == gb_mod_pm(F, order).elements
 
 
-def test_reduce_basis_divides_only_over_qt_and_finite_fields(monkeypatch):
+def test_reduce_basis_never_divides(monkeypatch):
+    # one elimination path for every field: no tail reduction by division
     texts = ("x^2+2x*y+3y^2", "x*y^2-5y^3")
+    fields = (QQ, Qp(2), Qp(3), Qt(), GF(3))
     bases = {field: buchberger(polys(field, "x,y", *texts), zero_order(2))
-             for field in (QQ, Qp(2), Qp(3), Qt(), GF(3))}
+             for field in fields}
     calls = []
     real = valgb.groebner.normal_form
 
@@ -230,12 +237,14 @@ def test_reduce_basis_divides_only_over_qt_and_finite_fields(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(valgb.groebner, "normal_form", recorder)
-    for field in (QQ, Qp(2), Qp(3)):
+    for field in fields:
         reduce_basis(bases[field])
     assert calls == []
-    for field in (Qt(), GF(3)):
-        reduce_basis(bases[field])
-    assert set(calls) == {Qt(), GF(3)}
+    # Z/p^m with m > 1 is not a field
+    ring = ModPmRing(2, 8)
+    basis = GroebnerBasis(polys(ring, "x,y", "x+3y", "y^2"), zero_order(2))
+    with pytest.raises(ValueError, match="not a field"):
+        reduce_basis(basis)
 
 
 def test_reduce_basis_rejects_mixed_fields():

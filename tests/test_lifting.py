@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from valgb import (
+    GF,
     GREVLEX,
     ModPmRing,
     Polynomial,
@@ -53,28 +54,30 @@ def test_bareiss_rank_against_fraction_elimination():
         assert bareiss_rank(m) == len(pivots)
 
 
-def _random_fraction_matrix(rng, nrows, ncols):
-    """A product of random Fraction factors of inner size below the shape,
-    with zero rows and zero columns inserted at random places."""
+def _random_fraction_matrix(rng, nrows, ncols, entry=None, zero=Fraction(0)):
+    """A product of random factors of inner size below the shape, with zero
+    rows and zero columns inserted at random places.  The factors' entries
+    are small Fractions unless ``entry`` draws them (with ``zero`` as 0)."""
     inner = rng.randint(0, min(nrows, ncols))
 
-    def entry():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    if entry is None:
+        def entry():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
 
     left = [[entry() for _ in range(inner)] for _ in range(nrows)]
     right = [[entry() for _ in range(ncols)] for _ in range(inner)]
     m = [
-        [sum((a * right[k][j] for k, a in enumerate(row)), Fraction(0))
+        [sum((a * right[k][j] for k, a in enumerate(row)), zero)
          for j in range(ncols)]
         for row in left
     ]
     for _ in range(rng.randint(0, 2)):
         j = rng.randint(0, ncols)
         for row in m:
-            row.insert(j, Fraction(0))
+            row.insert(j, zero)
         ncols += 1
     for _ in range(rng.randint(0, 2)):
-        m.insert(rng.randint(0, len(m)), [Fraction(0)] * ncols)
+        m.insert(rng.randint(0, len(m)), [zero] * ncols)
     return m
 
 
@@ -94,6 +97,27 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
         assert ([_dense_rref_row(r, p, len(m[0])) for r, p in zip(rows, pivots)],
                 pivots) == expected, f"trial {trial}"
         assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
+    # over GF(p) and Q(t) the rows hold field scalars and every pivot is one
+    for p in (2, 3, 5):
+        for trial in range(60):
+            m = _random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                                        lambda: rng.randint(0, p - 1), 0)
+            m = [[c % p for c in row] for row in m]
+            rows, pivots = rref(m, GF(p))
+            assert ([[r.get(c, 0) for c in range(len(m[0]))] for r in rows],
+                    pivots) == gauss_jordan(m, p), f"GF({p}) trial {trial}"
+    zero = RatFunc(0)
+    for trial in range(60):
+        m = _random_fraction_matrix(
+            rng, rng.randint(1, 5), rng.randint(1, 5),
+            lambda: RatFunc([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))],
+                            [rng.randint(1, 3)] + [rng.randint(-2, 2)
+                                                   for _ in range(rng.randint(0, 1))]),
+            zero,
+        )
+        rows, pivots = rref(m, Qt())
+        assert ([[r.get(c, zero) for c in range(len(m[0]))] for r in rows],
+                pivots) == gauss_jordan(m), f"Q(t) trial {trial}"
 
 
 def test_gauss_jordan_oracle_over_qt():

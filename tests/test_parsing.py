@@ -68,6 +68,13 @@ def test_syntax_error_position():
         parse_problem("field Q\nvars x,y\nideal: x^2 + $\n")
     assert err.value.line == 3
     assert err.value.col >= 12
+    # errors found after the whole text is read point at their directive
+    with pytest.raises(ParseError) as err:
+        parse_problem("field Qt\nvars t,x\nideal: t+x\n")
+    assert (err.value.line, err.value.col) == (2, 5)
+    with pytest.raises(ParseError) as err:
+        parse_problem("field Q\nvars x,y\nweight 1,2,3\nideal: x\n")
+    assert (err.value.line, err.value.col) == (3, 7)
 
 
 def test_unknown_variable_position():

@@ -1,5 +1,5 @@
-"""Differential oracles against sympy: reduced bases over Q with w = 0, and
-Q(t) scalar arithmetic over Z[t]."""
+"""Differential oracles against sympy: reduced bases over Q and GF(p) with
+w = 0, and Q(t) scalar arithmetic over Z[t]."""
 
 import random
 from fractions import Fraction
@@ -8,35 +8,49 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from valgb import LEX, GREVLEX, QQ, RatFunc, buchberger, reduce_basis
+from valgb import GF, LEX, GREVLEX, QQ, RatFunc, buchberger, reduce_basis
 
 from conftest import random_homogeneous, zero_order
 
 
-def as_sympy(f, gens):
+def as_sympy(f, gens, modulus=None):
+    if modulus is not None:
+        return sympy.Poly.from_dict(dict(f.terms), *gens, modulus=modulus)
     return sympy.Poly.from_dict(
         {m: sympy.Rational(c.numerator, c.denominator) for m, c in f.terms.items()},
         *gens, domain="QQ",
     )
 
 
-def term_set(terms):
+def term_set(terms, modulus=None):
+    if modulus is not None:  # sympy prints residues symmetric around 0
+        return frozenset((tuple(m), int(c) % modulus) for m, c in terms)
     return frozenset((tuple(m), Fraction(int(c.p), int(c.q))) for m, c in terms)
 
 
-@pytest.mark.parametrize("tiebreak", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_reduced_basis_over_q_matches_sympy(tiebreak):
+@pytest.mark.parametrize("field, tiebreak", [
+    (QQ, GREVLEX), (QQ, LEX), (GF(3), GREVLEX), (GF(3), LEX), (GF(5), GREVLEX),
+], ids=["grevlex", "lex", "GF3-grevlex", "GF3-lex", "GF5-grevlex"])
+def test_reduced_basis_over_q_matches_sympy(field, tiebreak):
     gens = sympy.symbols("x y z")
-    rng = random.Random(f"sympy-oracle-{tiebreak.kind}")
+    modulus = getattr(field, "p", None)
+    seed = f"sympy-oracle-{tiebreak.kind}" + (f"-{modulus}" if modulus else "")
+    rng = random.Random(seed)
     for trial in range(40):
-        F = [random_homogeneous(rng, QQ, 3, rng.randint(1, 3))
+        F = [random_homogeneous(rng, field, 3, rng.randint(1, 3))
              for _ in range(rng.randint(2, 3))]
+        F = [f for f in F if not f.is_zero()]  # a coefficient may vanish mod p
+        if not F:
+            continue
         ours = reduce_basis(buchberger(F, zero_order(3, tiebreak)))
+        domain = {"modulus": modulus} if modulus else {"domain": "QQ"}
         theirs = sympy.groebner(
-            [as_sympy(f, gens) for f in F], *gens, order=tiebreak.kind, domain="QQ"
+            [as_sympy(f, gens, modulus) for f in F], *gens, order=tiebreak.kind,
+            **domain,
         )
-        expected = {term_set(g.terms()) for g in theirs.polys}
-        got = {frozenset((m, Fraction(c)) for m, c in g.terms.items()) for g in ours}
+        expected = {term_set(g.terms(), modulus) for g in theirs.polys}
+        got = {frozenset((m, c if modulus else Fraction(c)) for m, c in g.terms.items())
+               for g in ours}
         assert got == expected, f"trial {trial}"
 
 
