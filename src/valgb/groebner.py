@@ -12,6 +12,13 @@ those forms and handed to the division with its own integer form already
 memoized, and a new element is made monic once, from the division's integer
 remainder.  Q(t), GF(p) and Z/p^m use ``s_polynomial`` and ``monic``.
 
+Over Qp the valued division may divide by its own recorded states, and
+against an unreduced basis its rationals can grow far beyond the basis it
+finds (W1's 85-step division reached a 128,600-bit remainder).  So the loop
+interreduces each closed degree once an element has joined, as homogeneous
+Buchberger implementations do, and later pairs divide by a truncated
+reduced basis.
+
 The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
 Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
@@ -157,6 +164,19 @@ def buchberger(
     the basis; the default normalization is monic scaling.  Over Q and Qp
     the S-polynomials are formed on the elements' primitive integer forms,
     and the default normalization reads the division's integer remainder.
+
+    Over Qp with the default normalization, the closed degrees are
+    interreduced: before the first pair of degree d is popped, if an element
+    has joined since the last such step, the elements of each degree below d
+    not yet reduced are replaced by that degree's reduced elements, and the
+    pairs of degree d and above are queued afresh.  The elements below d are
+    then a truncated basis through degree d-1, so the later divisions run
+    against small tails.  Stats count these steps as ``interreductions``.
+    The elements come out as the reduced ones in ascending degree, each
+    degree in ``minimal_generators`` order, then the input generators not
+    yet reached, in input order.  The rule stays off elsewhere: over Q and
+    GF(p) the division never records a state, and over Q(t) it slowed the
+    bases tried and mended no known blow-up.
     """
 
     def normalized(f):
@@ -192,18 +212,44 @@ def buchberger(
     pending: set = set()
     keys = order.tiebreak._keys
 
-    def push_pairs(j: int):
+    def push_pairs(j: int, lowest: int = 0):
         lmj = lms[j]
         for i in range(j):
             lcm = mono_lcm(lms[i], lmj)
-            heapq.heappush(heap, (mono_degree(lcm), keys[lcm], i, j))
-            pending.add((i, j))
+            d = mono_degree(lcm)
+            if d >= lowest:
+                heapq.heappush(heap, (d, keys[lcm], i, j))
+                pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
 
-    counters = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0}
+    interreducing = isinstance(fld, QpField) and normalize is None
+    reduced_below = 0  # the elements of lower degree are reduced and come first
+    joined = None  # the degree of the elements that joined since then
+    counters = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
+                "interreductions": 0}
+
+    def interreduce(d: int):
+        nonlocal reduced_below
+        closed = [k for k, lm in enumerate(lms) if mono_degree(lm) < d]
+        closed_lms = [lms[k] for k in closed]
+        kept = [G[k] for k in closed if mono_degree(lms[k]) < reduced_below]
+        kept += _reduce_by_elimination([G[k] for k in closed], closed_lms,
+                                       minimal_generators(closed_lms), reduced_below)
+        G[:] = kept + [g for g, lm in zip(G, lms) if mono_degree(lm) >= d]
+        lms[:] = [leading_term(g, order)[1] for g in G]
+        reduced_below = d
+        heap.clear()
+        pending.clear()
+        for j in range(len(G)):
+            push_pairs(j, d)
+        counters["interreductions"] += 1
+
     while heap:
+        if interreducing and joined is not None and heap[0][0] > joined:
+            interreduce(heap[0][0])
+            joined = None
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         counters["pairs"] += 1
@@ -233,6 +279,7 @@ def buchberger(
             G.append(r)
             lms.append(leading_term(r, order)[1])
             counters["new_elements"] += 1
+            joined = mono_degree(lms[-1])
             push_pairs(len(G) - 1)
         if progress is not None:
             progress(counters["pairs"], len(heap))
@@ -265,8 +312,9 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
     (``linalg.rref`` takes the row operation from the field).  Returns None
     unless the pivots are exactly the block; otherwise row t of the RREF,
     divided by its pivot entry, is the element for target t (the targets
-    lie in the block).  The RREF is unique, so neither the row order nor the
-    order of the columns within and after the block matters.
+    lie in the block), over Q and Qp with its integer form seeded.  The RREF
+    is unique, so neither the row order nor the order of the columns within
+    and after the block matters.
     """
     index = {m: i for i, m in enumerate(block)}
     for terms in rows:
@@ -287,17 +335,17 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
     out = []
     for t in targets:
         row = reduced[index[t]]
-        if integral:
-            den = row[index[t]]
-            terms = {columns[c]: Fraction(v, den) for c, v in row.items()}
+        terms = {columns[c]: v for c, v in row.items()}
+        if integral:  # a primitive row with a positive pivot entry
+            out.append(_with_integer_terms(field, nvars, terms, Fraction(terms[t])))
         else:  # the pivot entry is already one
-            terms = {columns[c]: v for c, v in row.items()}
-        out.append(Polynomial(field, nvars, terms, _clean=True))
+            out.append(Polynomial(field, nvars, terms, _clean=True))
     return out
 
 
-def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
-    """Reduced elements for the targets, one degree at a time.
+def _reduce_by_elimination(elements: list, lms: list, targets: list, lowest: int = 0) -> list:
+    """Reduced elements for the targets of degree ``lowest`` or more, one
+    degree at a time; targets of lower degree only serve as divisors.
 
     The rows start with the element whose leading monomial is each target;
     every leading-ideal monomial met in a row that has no row yet gets one
@@ -305,15 +353,20 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
     rows' leading monomials are pairwise distinct, so the rows are
     independent under any weighted order, and on a basis no nonzero
     combination avoids the leading ideal: the pivots are exactly the block.
+    A degree needs no elimination when its rows are its monic elements and
+    none holds another row's leading monomial; those elements are returned.
     """
     field, nvars = elements[0].field, elements[0].nvars
     integral = isinstance(field, (RationalField, QpField))
-    reducer = {}
+    owner = {}
     for g, lm in zip(elements, lms):
-        if lm not in reducer:
-            reducer[lm] = _integer_terms(g)[0] if integral else g.terms
+        owner.setdefault(lm, g)
+    reducer = {lm: _integer_terms(g)[0] if integral else g.terms for lm, g in owner.items()}
+    one = field.one()
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
+        if d < lowest:
+            continue
         of_degree = [t for t in targets if mono_degree(t) == d]
         divisors = [t for t in targets if mono_degree(t) <= d]
         block = list(of_degree)  # the rows' leading monomials, in row order
@@ -335,6 +388,11 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list) -> list:
                 else:
                     source[u] = divisor
                     block.append(u)
+        if len(block) == len(of_degree) and all(
+                owner[t].terms[t] == one and len(source.keys() & row.keys()) == 1
+                for t, row in zip(of_degree, rows)):
+            out.extend(owner[t] for t in of_degree)
+            continue
         got = _reduced_rows(field, nvars, rows, block, of_degree)
         if got is None:
             raise AssertionError(

@@ -54,12 +54,16 @@ def random_scalar(rng: random.Random, field, height=9, allow_zero=False):
 def random_homogeneous(
     rng: random.Random, field, nvars, degree, max_terms=4, height=9
 ) -> Polynomial:
-    """A nonzero homogeneous polynomial with small random coefficients."""
+    """A nonzero homogeneous polynomial with small random coefficients.
+
+    Over GF(p) every drawn coefficient may vanish; the first chosen monomial
+    is then returned instead, so no further draw changes.
+    """
     monos = monomials_of_degree(nvars, degree)
     count = min(len(monos), rng.randint(1, max_terms))
     chosen = rng.sample(monos, count)
-    terms = {m: random_scalar(rng, field, height) for m in chosen}
-    return Polynomial(field, nvars, terms)
+    f = Polynomial(field, nvars, {m: random_scalar(rng, field, height) for m in chosen})
+    return f if f else Polynomial.term(field, nvars, chosen[0], field.one())
 
 
 def random_ideal(rng, field, nvars, max_degree=3, max_gens=3, height=9):

@@ -565,11 +565,44 @@ def division_reduce_basis(gb, *, max_steps=1_000_000, max_coeff_bits=None):
 # -- Fraction completion loop ---------------------------------------------------
 
 
+def _oracle_reduced_degree(elements, lms, targets, e):
+    """The reduced elements of degree e for the targets of degree e, read off
+    the Gauss-Jordan form of every degree-e multiple of the elements (a
+    truncated basis through degree e), with the leading-ideal monomials as
+    the first columns: each target's row is the target plus standard
+    monomials only."""
+    from valgb.polynomials import Polynomial
+
+    field, n = elements[0].field, elements[0].nvars
+    monos = list(_monomials(n, e))
+    in_ideal = [m for m in monos
+                if any(all(a <= b for a, b in zip(lm, m)) for lm in lms)]
+    columns = in_ideal + [m for m in monos if m not in in_ideal]
+    index = {m: c for c, m in enumerate(columns)}
+    rows = []
+    for g in elements:
+        for v in _monomials(n, e - g.degree()):
+            row = [0] * len(columns)
+            for u, c in g.terms.items():
+                row[index[tuple(x + y for x, y in zip(u, v))]] = c
+            rows.append(row)
+    reduced, pivots = gauss_jordan(rows)
+    assert pivots == list(range(len(in_ideal))), "not a truncated basis"
+    return [Polynomial(field, n, {columns[c]: x for c, x in enumerate(reduced[index[t]]) if x})
+            for t in targets if sum(t) == e]
+
+
 def fraction_buchberger(generators, order, *, use_criteria=True,
                         max_steps=1_000_000, max_coeff_bits=None):
     """The package's earlier completion loop, kept as the reference for the
     integer one over Q and Qp: Fraction S-polynomials (``s_polynomial``),
     the Fraction remainder of the package's division, and ``monic``.
+
+    Over Qp it interreduces the closed degrees as ``buchberger`` does, each
+    degree by ``_oracle_reduced_degree``: before the first pair of degree d,
+    if an element joined since the last such step, the elements of degree
+    below d become the reduced ones (ascending degree, then exponent tuple)
+    and the pairs of degree d and above are queued afresh.
 
     Returns (elements, stats) as ``buchberger`` returns them in its
     ``GroebnerBasis``.
@@ -577,6 +610,7 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
     import heapq
 
     from valgb.division import normal_form
+    from valgb.fields import QpField
     from valgb.groebner import CriticalPair, criterion_b1, criterion_b2, monic, s_polynomial
     from valgb.polynomials import mono_degree, mono_lcm
     from valgb.weights import leading_term
@@ -591,16 +625,37 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
     lms = [leading_term(g, order)[1] for g in G]
     heap, pending = [], set()
 
-    def push_pairs(j):
+    def push_pairs(j, lowest=0):
         for i in range(j):
             lcm = mono_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (mono_degree(lcm), order.tiebreak.sort_key(lcm), i, j))
-            pending.add((i, j))
+            if mono_degree(lcm) >= lowest:
+                heapq.heappush(heap, (mono_degree(lcm), order.tiebreak.sort_key(lcm), i, j))
+                pending.add((i, j))
 
     for j in range(len(G)):
         push_pairs(j)
-    stats = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0}
+    stats = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
+             "interreductions": 0}
+    reduced_below, joined = 0, None
     while heap:
+        d = heap[0][0]
+        if isinstance(G[0].field, QpField) and joined is not None and d > joined:
+            closed = [(g, lm) for g, lm in zip(G, lms) if sum(lm) < d]
+            closed_lms = [lm for _, lm in closed]
+            targets = sorted({m for m in closed_lms if not any(
+                o != m and all(a <= b for a, b in zip(o, m)) for o in closed_lms)},
+                key=lambda m: (sum(m), m))
+            kept = [g for g, lm in closed if sum(lm) < reduced_below]
+            for e in sorted({sum(t) for t in targets if sum(t) >= reduced_below}):
+                kept += _oracle_reduced_degree(
+                    [g for g, lm in closed if sum(lm) <= e], closed_lms, targets, e)
+            G = kept + [g for g, lm in zip(G, lms) if sum(lm) >= d]
+            lms = [leading_term(g, order)[1] for g in G]
+            heap, pending = [], set()
+            for j in range(len(G)):
+                push_pairs(j, d)
+            stats["interreductions"] += 1
+            reduced_below, joined = d, None
         _, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         stats["pairs"] += 1
@@ -620,6 +675,7 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
         G.append(monic(r, order))
         lms.append(leading_term(G[-1], order)[1])
         stats["new_elements"] += 1
+        joined = sum(lms[-1])
         push_pairs(len(G) - 1)
     return G, stats
 

@@ -68,10 +68,10 @@ def test_benchmark_outputs_match_digests(workload):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("cli-mixed", {"division.normal_form_calls": 105, "division.steps": 1572,
-                   "division.steps_max": 50, "division.breaker_trips": 0}),
-    ("padic-blowup", {"division.normal_form_calls": 69, "division.steps": 1202,
-                      "division.steps_max": 85, "division.breaker_trips": 1}),
+    ("cli-mixed", {"division.normal_form_calls": 105, "division.steps": 1455,
+                   "division.steps_max": 24, "division.breaker_trips": 0}),
+    ("padic-blowup", {"division.normal_form_calls": 69, "division.steps": 1112,
+                      "division.steps_max": 49, "division.breaker_trips": 1}),
 ])
 def test_traced_division_counts(workload, counts):
     done = subprocess.run(

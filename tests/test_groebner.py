@@ -194,8 +194,6 @@ def test_reduce_basis_equals_division_oracle():
             random_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=4)
             for _ in range(rng.randint(1, 3))
         ]
-        if all(f.is_zero() for f in F):  # every coefficient vanished mod p
-            F[0] = Polynomial.term(field, nvars, (1,) * nvars, field.one())
         order = WeightedOrder(w, tiebreak)
         try:
             gb = buchberger(F, order, max_coeff_bits=budget)
@@ -425,8 +423,13 @@ def test_hilbert_function_equality_small():
                 assert left == right
 
 
-# ROADMAP W1: an 85-step normal form with 257k-bit intermediates
+# ROADMAP W1: against its unreduced basis, one normal form took 85 steps and
+# reached 257k-bit intermediates
 W1_TEXTS = ("-8x^2*y-4x*y*z-y^2*z", "-3y^3+6x^2*z-6x*y*z+2z^3", "5x*y-6x*z-8y*z+3z^2")
+
+
+def _w1():
+    return polys(Qp(2), XYZ, *W1_TEXTS), WeightedOrder((-1, 0, -2), GREVLEX)
 
 
 def completion_suite():
@@ -442,7 +445,7 @@ def completion_suite():
         out.append((f"modpm-d {trial} {field}", gens, order))
         out.append((f"modpm-d {trial} Q", [g.map_coefficients(Fraction, QQ) for g in gens],
                     order))
-    out.append(("W1", polys(Qp(2), XYZ, *W1_TEXTS), WeightedOrder((-1, 0, -2), GREVLEX)))
+    out.append(("W1", *_w1()))
     for e in (1, 2, 3):
         for seed in range(2):
             pair = sample_pair(e, random.Random(f"cardinality-{e}-{seed}-0"))
@@ -538,3 +541,43 @@ def test_nine_variable_no_criteria_run_trips_the_breaker():
     with pytest.raises(CoefficientBlowup) as exc:
         fraction_buchberger(gens, order, use_criteria=False, max_coeff_bits=20000)
     assert str(exc.value) == message
+
+
+def test_w1_completes_within_a_small_bit_budget():
+    # against the unreduced basis W1 passed 4096, 16384 and 65536 bits, after
+    # 49, 63 and 74 steps; against the interreduced one it stays within 8192
+    gens, order = _w1()
+    gb = buchberger(gens, order, max_coeff_bits=8192)
+    assert gb.stats["interreductions"] > 0
+    assert reduce_basis(gb).elements == gb_mod_pm(gens, order).elements
+
+
+def test_w1_unreduced_basis_verifies_within_a_small_bit_budget():
+    # verifying the loop's basis used to run for minutes in one division
+    gens, order = _w1()
+    assert is_basis_of(buchberger(gens, order), gens, max_coeff_bits=8192) is True
+
+
+def test_nine_variable_basis_is_never_interreduced():
+    # no element joins, so the input generators stay as they are
+    gens, _, order = nine_variable_problem()
+    stats = buchberger(gens, order).stats
+    assert stats["new_elements"] == 0 and stats["interreductions"] == 0
+
+
+def test_interreduction_is_only_over_qp():
+    joined = 0
+    for label, gens, order in completion_suite():
+        if gens[0].field == QQ:
+            stats = buchberger(gens, order).stats
+            assert stats["interreductions"] == 0, label
+            joined += stats["new_elements"] > 0
+    rng = random.Random("interreduction-guard")
+    for field in (Qt(), GF(3), GF(5)):
+        for trial in range(20):
+            gens = random_ideal(rng, field, 3, max_degree=2, max_gens=3)
+            weights = (0, 0, 0) if field != Qt() else random_weights(rng, field, 3)
+            stats = buchberger(gens, WeightedOrder(weights, GREVLEX)).stats
+            assert stats["interreductions"] == 0, (field, trial)
+            joined += stats["new_elements"] > 0
+    assert joined > 50

@@ -352,6 +352,32 @@ def test_gb_mod_pm_nine_variable_ideal():
     )
 
 
+def test_gb_mod_pm_exponents_on_the_modpm_d_inputs():
+    # the exponents tried on the 100 modpm-d inputs and the nine-variable
+    # ideal are pinned: the direct loop's interreduction over Qp must leave
+    # the modular run, the lift and its verification alone
+    from conftest import nine_variable_problem
+
+    rng = random.Random("modpm-d")
+    inputs = []
+    for trial in range(100):
+        field = Qp([2, 3, 5][trial % 3])
+        gens = random_ideal(rng, field, 3, max_degree=3, max_gens=3, height=50)
+        inputs.append((gens, WeightedOrder(random_weights(rng, field, 3), GREVLEX)))
+    gens, _, order = nine_variable_problem()
+    inputs.append((gens, order))
+    expected = [[16]] * 101
+    for k, m_values in {3: [20], 15: [18], 21: [16, 32], 55: [18], 60: [16, 32],
+                        90: [22]}.items():
+        expected[k] = m_values
+    got = []
+    for gens, order in inputs:
+        stats = {}
+        gb_mod_pm(gens, order, stats=stats)
+        got.append(stats["m_values"])
+    assert got == expected
+
+
 def test_gb_mod_pm_agreement_random():
     rng = random.Random("modpm-agree")
     for trial in range(30):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from valgb import (
+    GF,
     GREVLEX,
     LEX,
     Polynomial,
@@ -243,3 +244,25 @@ def test_full_key_table_starts_afresh(monkeypatch):
     for m in monos + monos:
         assert order.sort_key(m) == _closed_form("grevlex", (2, 1, 0), m)
         assert len(order._keys) <= 8
+
+
+def test_random_homogeneous_is_nonzero_mod_p():
+    # over GF(3) all drawn coefficients may vanish; the builder then returns
+    # its first chosen monomial and draws exactly what it draws over Q
+    rng = random.Random("nonzero-mod-p")
+    replaced = 0
+    for _ in range(300):
+        state = rng.getstate()
+        f = random_homogeneous(rng, GF(3), 2, 2, max_terms=2)
+        after = rng.getstate()
+        rng.setstate(state)
+        over_q = random_homogeneous(rng, QQ, 2, 2, max_terms=2)
+        assert rng.getstate() == after
+        assert f
+        if over_q.map_coefficients(GF(3).coerce, GF(3)):
+            assert f == over_q.map_coefficients(GF(3).coerce, GF(3))
+        else:
+            replaced += 1
+            assert len(f.terms) == 1 and set(f.terms.values()) == {1}
+            assert set(f.terms) <= set(over_q.terms)
+    assert replaced > 0

@@ -39,9 +39,6 @@ def test_reduced_basis_over_q_matches_sympy(field, tiebreak):
     for trial in range(40):
         F = [random_homogeneous(rng, field, 3, rng.randint(1, 3))
              for _ in range(rng.randint(2, 3))]
-        F = [f for f in F if not f.is_zero()]  # a coefficient may vanish mod p
-        if not F:
-            continue
         ours = reduce_basis(buchberger(F, zero_order(3, tiebreak)))
         domain = {"modulus": modulus} if modulus else {"domain": "QQ"}
         theirs = sympy.groebner(
