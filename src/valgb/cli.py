@@ -19,7 +19,7 @@ from .division import CoefficientBlowup, StepBudgetExceeded, normal_form
 from .fields import QpField
 from .groebner import buchberger, is_basis_of, reduce_basis
 from .lifting import gb_mod_pm
-from .parsing import ParseError, ProblemFile, parse_problem, parse_polynomial
+from .parsing import ProblemFile, parse_problem, parse_polynomial
 from .polynomials import poly_to_str
 from .tropical import contains_monomial, initial_ideal
 from .weights import initial_form
@@ -37,7 +37,7 @@ def _load_problem(path: str) -> ProblemFile:
 def _require_homogeneous(problem: ProblemFile):
     for i, g in enumerate(problem.generators, start=1):
         if not g.is_homogeneous():
-            raise ParseError(f"generator {i} is not homogeneous", 1, 1)
+            raise ValueError(f"generator {i} is not homogeneous")
 
 
 def _print_poly(poly, problem: ProblemFile):
@@ -55,7 +55,7 @@ def _cmd_gb(args) -> int:
     limits = dict(max_steps=args.max_steps, max_coeff_bits=args.max_coeff_bits)
     if args.modpm is not None:
         if not isinstance(problem.field, QpField):
-            raise ParseError("--modpm requires a Qp(p) field", 1, 1)
+            raise ValueError("--modpm requires a Qp(p) field")
         stats: dict = {}
         # an option not given keeps gb_mod_pm's own default
         if args.max_coeff_bits is None:
@@ -106,7 +106,7 @@ def _cmd_nf(args) -> int:
     elif problem.target is not None:
         target = problem.target
     else:
-        raise ParseError("nf needs a target polynomial ('target:' line or --target)", 1, 1)
+        raise ValueError("nf needs a target polynomial ('target:' line or --target)")
     order = problem.weighted_order()
     result = normal_form(
         target,
@@ -159,7 +159,7 @@ def _cmd_bounds(args) -> int:
     _require_homogeneous(problem)
     degrees = [g.homogeneous_degree() for g in problem.generators if not g.is_zero()]
     if not degrees:
-        raise ParseError("bounds need at least one nonzero generator", 1, 1)
+        raise ValueError("bounds need at least one nonzero generator")
     n = problem.nvars
     d = max(degrees)
     print(f"n = {n}")

@@ -149,14 +149,9 @@ def _coeff_bits(c) -> int:
         return c.bit_length()
     if hasattr(c, "numerator"):
         return c.numerator.bit_length() + c.denominator.bit_length()
-    if hasattr(c, "integer_parts"):  # n/d in Q(t): the widest x/lc(d) in lowest terms
+    if hasattr(c, "integer_parts"):  # n/d in Q(t): every coefficient, at least 1 bit
         n, d = c.integer_parts
-        lc = d[-1]
-        bits = 0
-        for x in n + d:
-            g = gcd(x, lc)
-            bits = max(bits, (x // g).bit_length() + (lc // g).bit_length())
-        return bits
+        return sum(x.bit_length() or 1 for x in n + d)
     return 0
 
 

@@ -10,7 +10,9 @@ the completion loop and ``is_basis_of`` work on integers: each element is
 read as its memoized primitive integer form, each S-polynomial is formed on
 those forms and handed to the division with its own integer form already
 memoized, and a new element is made monic once, from the division's integer
-remainder.  Q(t), GF(p) and Z/p^m use ``s_polynomial`` and ``monic``.
+remainder.  Q(t), GF(p) and Z/p^m use ``s_polynomial``.  The ring picks how
+a new element is normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m
+(m > 1) first strips its p-content and reads truncation noise as zero.
 
 Over Qp the valued division may divide by its own recorded states, and
 against an unreduced basis its rationals can grow far beyond the basis it
@@ -35,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from .division import _combine, _integer_terms, _with_integer_terms, normal_form
-from .fields import ModPmRing, QpField, RationalField
+from .fields import INF, ModPmRing, QpField, RationalField
 from .linalg import rref
 from .polynomials import (
     Monomial,
@@ -147,6 +149,27 @@ def monic(f: Polynomial, order: WeightedOrder) -> Polynomial:
     return f.scale(f.field.inv(lc))
 
 
+def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
+    """Strip p-content; declare noise-level elements zero.
+
+    A reduction that vanishes over Q shows up mod p^m as a polynomial whose
+    every coefficient carries at least m minus a bounded number of p-powers,
+    so stripping would promote pure truncation noise to a fake basis element.
+    Anything with content at m/2 or above is treated as a reduction to zero;
+    false zeros are caught by the rational verification and a larger m.
+    """
+    ring = f.field
+    s = min(ring.val(c) for c in f.terms.values())
+    if s is INF or s >= max(1, ring.m // 2):
+        return Polynomial.zero(ring, f.nvars)
+    if s:
+        q = ring.p**s
+        f = Polynomial(
+            ring, f.nvars, {m: c // q for m, c in f.terms.items()}, _clean=True
+        )
+    return monic(f, order)
+
+
 def buchberger(
     generators: list,
     order: WeightedOrder,
@@ -154,36 +177,38 @@ def buchberger(
     use_criteria: bool = True,
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = None,
-    normalize=None,
     progress=None,
 ) -> GroebnerBasis:
     """Complete homogeneous generators to a basis under a weighted order.
 
     Pairs are processed lowest lcm degree first (ties by the tiebreak order
     on the lcm, then index).  New remainders are normalized before joining
-    the basis; the default normalization is monic scaling.  Over Q and Qp
-    the S-polynomials are formed on the elements' primitive integer forms,
-    and the default normalization reads the division's integer remainder.
+    the basis, and the ring picks the normalization.  Over Q and Qp the
+    S-polynomials are formed on the elements' primitive integer forms, and
+    a remainder is made monic from the division's integer remainder.  Over
+    Z/p^m with m > 1 its p-content is stripped first, and a remainder whose
+    content reaches m/2 reads as zero (``_modpm_normalize``).  Over Q(t) and
+    GF(p) it is scaled to be monic.
 
-    Over Qp with the default normalization, the closed degrees are
-    interreduced: before the first pair of degree d is popped, if an element
-    has joined since the last such step, the elements of each degree below d
-    not yet reduced are replaced by that degree's reduced elements, and the
-    pairs of degree d and above are queued afresh.  The elements below d are
-    then a truncated basis through degree d-1, so the later divisions run
-    against small tails.  Stats count these steps as ``interreductions``.
-    The elements come out as the reduced ones in ascending degree, each
-    degree in ``minimal_generators`` order, then the input generators not
-    yet reached, in input order.  The rule stays off elsewhere: over Q and
-    GF(p) the division never records a state, and over Q(t) it slowed the
-    bases tried and mended no known blow-up.
+    Over Qp the closed degrees are interreduced: before the first pair of
+    degree d is popped, if an element has joined since the last such step,
+    the elements of each degree below d not yet reduced are replaced by that
+    degree's reduced elements, and the pairs of degree d and above are
+    queued afresh.  The elements below d are then a truncated basis through
+    degree d-1, so the later divisions run against small tails.  Stats count
+    these steps as ``interreductions``.  The elements come out as the
+    reduced ones in ascending degree, each degree in ``minimal_generators``
+    order, then the input generators not yet reached, in input order.  The
+    rule stays off elsewhere: over Q and GF(p) the division never records a
+    state, and over Q(t) it slowed the bases tried and mended no known
+    blow-up.
     """
 
     def normalized(f):
-        if normalize is not None:
-            return normalize(f, order)
         if isinstance(f.field, (RationalField, QpField)):
             return _monic_from_integers(f.field, f.nvars, _integer_terms(f)[0], order)
+        if isinstance(f.field, ModPmRing) and f.field.m > 1:
+            return _modpm_normalize(f, order)
         return monic(f, order)
 
     G: list[Polynomial] = []
@@ -224,7 +249,7 @@ def buchberger(
     for j in range(len(G)):
         push_pairs(j)
 
-    interreducing = isinstance(fld, QpField) and normalize is None
+    interreducing = isinstance(fld, QpField)
     reduced_below = 0  # the elements of lower degree are reduced and come first
     joined = None  # the degree of the elements that joined since then
     counters = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
@@ -269,7 +294,7 @@ def buchberger(
         )
         r = None
         if result._r:  # u*remainder in the division's scalars
-            if integral and normalize is None:
+            if integral:
                 r = _monic_from_integers(fld, n, result._r, order)
             else:
                 r = normalized(result.remainder)  # may declare the remainder negligible

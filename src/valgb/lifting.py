@@ -3,15 +3,17 @@ mod-p^m acceleration with verified lifting.
 
 Working over Z/p^m tames the coefficient blow-up of exact rational runs:
 substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
-p-content is left), complete a basis mod p^m with weight zero, read off the
-initial monomial ideal, and reconstruct the reduced rational basis degree by
-degree.  The reconstruction row reduces all the generators' multiples of
-each degree as primitive integer rows and builds Fractions only for the rows
-it returns.  It reads the RREF with the routine that gives ``reduce_basis``
-its reduced bases over every field; only the rows differ, since the
-generators are not a basis.  It fails loudly when m was too small, so the whole
-pipeline verifies over Q and retries with doubled m.  The reconstruction
-takes Q and Qp generators only; Hilbert dimensions take any field.
+p-content is left), complete a basis mod p^m with weight zero (over Z/p^m,
+``buchberger`` itself strips each new element's p-content and reads
+truncation noise as zero), read off the initial monomial ideal, and
+reconstruct the reduced rational basis degree by degree.  The reconstruction
+row reduces all the generators' multiples of each degree as primitive
+integer rows and builds Fractions only for the rows it returns.  It reads
+the RREF with the routine that gives ``reduce_basis`` its reduced bases over
+every field; only the rows differ, since the generators are not a basis.  It
+fails loudly when m was too small, so the whole pipeline verifies over Q and
+retries with doubled m.  The reconstruction takes Q and Qp generators only;
+Hilbert dimensions take any field.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .division import CoefficientBlowup, StepBudgetExceeded, primitive_factor
-from .fields import INF, ModPmRing, QQ, QpField, padic_valuation
+from .fields import ModPmRing, QQ, QpField, padic_valuation
 from .groebner import (
     GroebnerBasis,
     _reduced_rows,
     buchberger,
     is_basis_of,
     minimal_generators,
-    monic,
     reduce_basis,
     sort_basis,
 )
@@ -150,27 +151,6 @@ def _substitute_weights(f: Polynomial, weights, p: int) -> Polynomial:
     return Polynomial(field, f.nvars, out, _clean=True)
 
 
-def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
-    """Strip p-content; declare noise-level elements zero.
-
-    A reduction that vanishes over Q shows up mod p^m as a polynomial whose
-    every coefficient carries at least m minus a bounded number of p-powers,
-    so stripping would promote pure truncation noise to a fake basis element.
-    Anything with content at m/2 or above is treated as a reduction to zero;
-    false zeros are caught by the rational verification and a larger m.
-    """
-    ring = f.field
-    s = min(ring.val(c) for c in f.terms.values())
-    if s is INF or s >= max(1, ring.m // 2):
-        return Polynomial.zero(ring, f.nvars)
-    if s:
-        q = ring.p**s
-        f = Polynomial(
-            ring, f.nvars, {m: c // q for m, c in f.terms.items()}, _clean=True
-        )
-    return monic(f, order)
-
-
 def gb_mod_pm(
     F: list,
     order: WeightedOrder,
@@ -232,7 +212,6 @@ def gb_mod_pm(
                 zero_w,
                 use_criteria=use_criteria,
                 max_steps=max_steps,
-                normalize=_modpm_normalize,
             )
             claimed = minimal_generators(modular.leading_monomials())
             lifted = lift_groebner(F, order, claimed)

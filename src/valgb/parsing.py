@@ -19,20 +19,20 @@ One compiled regular expression splits an expression into (kind, text,
 column) tokens; integers are ASCII digits.  The recursive-descent parser
 works on term dicts {exponent tuple: scalar} and builds one Polynomial at
 the end.  An atom is one term: a variable is a unit exponent vector, an
-integer is coerced once, and t over Q(t) is phi(1).  A product with a
-one-term factor adds exponents and multiplies scalars, a one-term power
-multiplies its exponents by k (t^k is phi(k)), a power of a sum is binary
-powering, and sums add into one dict, so m^k costs one step, not k.
+integer is coerced once, and t over Q(t) is phi(1).  Sums and products use
+the term-dict arithmetic of ``polynomials`` (``_add_terms``, ``_mul_terms``),
+which ``Polynomial`` uses too, so this module holds only the grammar.  A
+one-term power multiplies its exponents by k (t^k is phi(k)) and a power of
+a sum is binary powering, so m^k costs one step, not k.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add
 
 from .fields import CoefficientField, QQ, Qp, Qt, RationalFunctionField
-from .polynomials import Polynomial, TermOrder
+from .polynomials import Polynomial, TermOrder, _add_terms, _mul_terms
 from .weights import WeightedOrder
 
 
@@ -139,24 +139,13 @@ class _ExprParser:
         return negate
 
     def expr(self) -> dict:
-        field = self.field
         negate = self._sign_run()
         acc = self.term()
         if negate:
-            acc = {m: field.neg(c) for m, c in acc.items()}
+            acc = _add_terms(self.field, {}, acc, negate=True)
         while self.tokens[self.pos][0] in ("+", "-"):
             negate = self._sign_run()
-            combine = field.sub if negate else field.add
-            for m, c in self.term().items():
-                cur = acc.get(m)
-                if cur is None:
-                    acc[m] = field.neg(c) if negate else c
-                else:
-                    s = combine(cur, c)
-                    if field.is_zero(s):
-                        del acc[m]
-                    else:
-                        acc[m] = s
+            acc = _add_terms(self.field, acc, self.term(), negate)
         return acc
 
     def term(self) -> dict:
@@ -220,34 +209,7 @@ class _ExprParser:
         raise ParseError(message, self.line, col)
 
     def _mul(self, a: dict, b: dict) -> dict:
-        field = self.field
-        one = self.one
-        if len(a) == 1 or len(b) == 1:  # a shift and a scaling
-            if len(a) != 1:
-                a, b = b, a
-            ((m1, c1),) = a.items()
-            out = {}
-            for m2, c2 in b.items():
-                c = c2 if c1 is one else c1 if c2 is one else field.mul(c1, c2)
-                if not field.is_zero(c):  # possible over Z/p^m
-                    out[tuple(map(add, m1, m2))] = c
-            return out
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(map(add, m1, m2))
-                prod = field.mul(c1, c2)
-                cur = out.get(m)
-                if cur is None:
-                    if not field.is_zero(prod):
-                        out[m] = prod
-                else:
-                    s = field.add(cur, prod)
-                    if field.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-        return out
+        return _mul_terms(self.field, a, b)
 
     def _divide(self, num: dict, den: dict, tok: tuple) -> dict:
         if not den:

@@ -3,6 +3,12 @@
 Monomials are exponent tuples; polynomials map monomials to nonzero field
 scalars.  Polynomial values are immutable by convention: every operation
 returns a fresh object and per-order leading data is memoized on instances.
+
+Sums and products of term dicts {exponent tuple: field scalar} are written
+once, in ``_add_terms`` and ``_mul_terms``.  ``Polynomial``'s ``+``, ``-``,
+``*``, ``scale`` and ``mono_mul`` use them, and so does the expression
+parser.  They drop every monomial whose scalar vanishes, including the
+products of nonzero residues that vanish over Z/p^m.
 """
 
 from __future__ import annotations
@@ -119,6 +125,60 @@ LEX = TermOrder("lex")
 GREVLEX = TermOrder("grevlex")
 
 
+def _add_terms(field: CoefficientField, acc: dict, terms: dict, negate: bool = False) -> dict:
+    """Add terms into the term dict acc (subtract them if negate), in place,
+    and return acc; a sum that vanishes drops its monomial."""
+    combine = field.sub if negate else field.add
+    for m, c in terms.items():
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = field.neg(c) if negate else c
+        else:
+            s = combine(cur, c)
+            if field.is_zero(s):
+                del acc[m]
+            else:
+                acc[m] = s
+    return acc
+
+
+def _mul_terms(field: CoefficientField, a: dict, b: dict) -> dict:
+    """The product of two term dicts as a fresh dict.
+
+    A one-term factor is a shift and a scaling, which skips multiplying by
+    the field's one (found by identity) and shifting by the zero exponent.
+    Products and sums that vanish, as nonzero residues can over Z/p^m, drop
+    their monomials.
+    """
+    out = {}
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        ((v, c1),) = a.items()
+        one = field.one()
+        shift = any(v)
+        for m, c2 in b.items():
+            c = c2 if c1 is one else c1 if c2 is one else field.mul(c1, c2)
+            if not field.is_zero(c):
+                out[tuple(map(add, m, v)) if shift else m] = c
+        return out
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            prod = field.mul(c1, c2)
+            cur = out.get(m)
+            if cur is None:
+                if not field.is_zero(prod):
+                    out[m] = prod
+            else:
+                s = field.add(cur, prod)
+                if field.is_zero(s):
+                    del out[m]
+                else:
+                    out[m] = s
+    return out
+
+
 class Polynomial:
     """Sparse homogeneous-friendly polynomial over a coefficient field."""
 
@@ -196,35 +256,13 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
-        field = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = c
-            else:
-                s = field.add(cur, c)
-                if field.is_zero(s):
-                    del out[m]
-                else:
-                    out[m] = s
-        return Polynomial(field, self.nvars, out, _clean=True)
+        out = _add_terms(self.field, dict(self.terms), other.terms)
+        return Polynomial(self.field, self.nvars, out, _clean=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
-        field = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = field.neg(c)
-            else:
-                s = field.sub(cur, c)
-                if field.is_zero(s):
-                    del out[m]
-                else:
-                    out[m] = s
-        return Polynomial(field, self.nvars, out, _clean=True)
+        out = _add_terms(self.field, dict(self.terms), other.terms, negate=True)
+        return Polynomial(self.field, self.nvars, out, _clean=True)
 
     def __neg__(self) -> "Polynomial":
         field = self.field
@@ -237,45 +275,20 @@ class Polynomial:
         c = field.coerce(c)
         if field.is_zero(c):
             return Polynomial.zero(field, self.nvars)
-        out = {}
-        for m, a in self.terms.items():
-            prod = field.mul(c, a)
-            if not field.is_zero(prod):  # possible over Z/p^m
-                out[m] = prod
+        out = _mul_terms(field, {(0,) * self.nvars: c}, self.terms)
         return Polynomial(field, self.nvars, out, _clean=True)
 
     def mono_mul(self, v: Monomial, coeff=None) -> "Polynomial":
         """Multiply by the monomial x^v, optionally times a scalar."""
         field = self.field
-        if coeff is not None:
-            coeff = field.coerce(coeff)
-        v = tuple(v)
-        out = {}
-        for m, a in self.terms.items():
-            c = a if coeff is None else field.mul(coeff, a)
-            if coeff is None or not field.is_zero(c):
-                out[mono_mul(m, v)] = c
+        coeff = field.one() if coeff is None else field.coerce(coeff)
+        out = _mul_terms(field, {tuple(v): coeff}, self.terms)
         return Polynomial(field, self.nvars, out, _clean=True)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
-        field = self.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = field.mul(c1, c2)
-                cur = out.get(m)
-                if cur is None:
-                    if not field.is_zero(prod):
-                        out[m] = prod
-                else:
-                    s = field.add(cur, prod)
-                    if field.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Polynomial(field, self.nvars, out, _clean=True)
+        out = _mul_terms(self.field, self.terms, other.terms)
+        return Polynomial(self.field, self.nvars, out, _clean=True)
 
     def map_coefficients(self, fn, target_field=None) -> "Polynomial":
         field = target_field or self.field
@@ -326,15 +339,13 @@ def default_names(nvars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(nvars)]
 
 
-def poly_to_str(
-    f: Polynomial, names: list[str] | None = None, order: TermOrder | None = None
-) -> str:
-    """Deterministic text form; terms sorted descending in the given order."""
+def poly_to_str(f: Polynomial, names: list[str] | None = None) -> str:
+    """Deterministic text form; terms sorted descending in grevlex."""
     if f.is_zero():
         return "0"
     if names is None:
         names = default_names(f.nvars)
-    monos = sorted(f.terms, key=(order or GREVLEX)._keys.__getitem__, reverse=True)
+    monos = sorted(f.terms, key=GREVLEX._keys.__getitem__, reverse=True)
     parts = []
     for m in monos:
         neg, mag = f.field.format_coefficient(f.terms[m])

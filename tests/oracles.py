@@ -14,7 +14,7 @@ cardinality sampler use only the package's polynomials and fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 # -- tiny coefficient helpers -------------------------------------------------
@@ -452,9 +452,13 @@ def _eager_bits(c):
         return c.bit_length()
     if hasattr(c, "numerator"):
         return c.numerator.bit_length() + c.denominator.bit_length()
-    if hasattr(c, "num"):  # rational function
-        return max(fr.numerator.bit_length() + fr.denominator.bit_length()
-                   for part in (c.num, c.den) for fr in part)
+    if hasattr(c, "num"):  # rational function: all coefficients of the
+        # primitive integer numerator and denominator, at least 1 bit each
+        parts = c.num + c.den
+        common = lcm(*(fr.denominator for fr in parts))
+        ints = [fr.numerator * (common // fr.denominator) for fr in parts]
+        content = gcd(*ints)
+        return sum((x // content).bit_length() or 1 for x in ints)
     return 0
 
 

@@ -251,6 +251,9 @@ def test_nf_target_flag(tmp_path, capsys):
 def test_nf_missing_target(tmp_path, capsys):
     path = write(tmp_path, "division.vgb", DIVISION.replace("target: x^2+y^2+z^2\n", ""))
     assert main(["nf", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: nf needs a target polynomial ('target:' line or --target)\n"
+    )
 
 
 def test_initial_command(tmp_path, capsys):
@@ -274,6 +277,7 @@ def test_initial_forms_only_allows_inhomogeneous(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["x"]
     # but the default initial-ideal route rejects it
     assert main(["initial", path]) == 1
+    assert capsys.readouterr().err == "error: generator 1 is not homogeneous\n"
 
 
 def test_tropical_member_command(tmp_path, capsys):
@@ -350,6 +354,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["gb", str(tmp_path / "missing.vgb")]) == 1
     inh = write(tmp_path, "inh.vgb", "field Q\nvars x\nideal: x+x^2\n")
     assert main(["gb", inh]) == 1
+    rational = write(tmp_path, "rational.vgb", "field Q\nvars x,y\nideal: x+y\n")
+    capsys.readouterr()
+    assert main(["gb", rational, "--modpm", "8"]) == 1
+    assert capsys.readouterr().err == "error: --modpm requires a Qp(p) field\n"
     # budget exhaustion reports exit code 2
     loopy = write(
         tmp_path,

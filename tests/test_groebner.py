@@ -543,6 +543,20 @@ def test_nine_variable_no_criteria_run_trips_the_breaker():
     assert str(exc.value) == message
 
 
+def test_qt_degree_growth_trips_the_breaker():
+    # this run's scalars grow in t-degree far more than in coefficient width:
+    # one division's numerator and denominator held over 400 coefficients,
+    # none wider than 218 bits.  Sized by the widest coefficient it ran on for
+    # seconds; sized by all of them it stops after 16 steps
+    gens = polys(Qt(), "x,y,z",
+                 "(1+t)*x^2+(3+t^2)/(1-t)*y*z+t^3*z^2",
+                 "(2-t)*x*y-(1+t^4)*y^2+t*z^2",
+                 "x*z+(t+5)*y*z+(8-t^2)*z^2")
+    with pytest.raises(CoefficientBlowup) as exc:
+        buchberger(gens, WeightedOrder((1, 2, 0), GREVLEX), max_coeff_bits=3000)
+    assert str(exc.value) == "leading coefficient exceeded 3000 bits after 16 steps"
+
+
 def test_w1_completes_within_a_small_bit_budget():
     # against the unreduced basis W1 passed 4096, 16384 and 65536 bits, after
     # 49, 63 and 74 steps; against the interreduced one it stays within 8192

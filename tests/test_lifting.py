@@ -22,9 +22,9 @@ from valgb import (
     lift_groebner,
     reduce_basis,
 )
+from valgb.groebner import _modpm_normalize
 from valgb.lifting import (
     LiftInconsistent,
-    _modpm_normalize,
     clear_denominators,
     gb_mod_pm,
 )

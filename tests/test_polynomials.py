@@ -9,6 +9,7 @@ from valgb import (
     GF,
     GREVLEX,
     LEX,
+    ModPmRing,
     Polynomial,
     Qp,
     QQ,
@@ -19,7 +20,7 @@ from valgb import (
 )
 from valgb.parsing import parse_polynomial
 
-from conftest import P, random_homogeneous
+from conftest import P, random_homogeneous, random_scalar
 from oracles import _monomials
 
 
@@ -129,20 +130,57 @@ def test_monomials_of_degree():
     assert list(_monomials(3, -1)) == []
 
 
+def _schoolbook_product(field, a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = field.add(out.get(m, field.zero()), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if not field.is_zero(c)}
+
+
+def _schoolbook_difference(field, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = field.sub(out.get(m, field.zero()), c)
+    return {m: c for m, c in out.items() if not field.is_zero(c)}
+
+
 def test_ring_axioms_random():
-    for field in (Qp(3), QQ, Qt()):
+    # Z/2^8 draws coefficients up to 64, so nonzero products can vanish
+    for field, height in ((Qp(3), 9), (QQ, 9), (Qt(), 9), (GF(5), 9),
+                          (ModPmRing(2, 8), 64)):
         rng = random.Random(f"ring-{field.label}")
         for _ in range(40):
             d = rng.randint(1, 3)
-            f = random_homogeneous(rng, field, 3, d)
-            g = random_homogeneous(rng, field, 3, d)
-            h = random_homogeneous(rng, field, 3, rng.randint(1, 2))
+            f = random_homogeneous(rng, field, 3, d, height=height)
+            g = random_homogeneous(rng, field, 3, d, height=height)
+            h = random_homogeneous(rng, field, 3, rng.randint(1, 2), height=height)
             assert f + g == g + f
             assert (f + g) + h == f + (g + h)
             assert f * g == g * f
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
             assert (f - f).is_zero()
+            # against loops that share no code with Polynomial's arithmetic
+            assert (f * h).terms == _schoolbook_product(field, f.terms, h.terms)
+            assert (f - g).terms == _schoolbook_difference(field, f.terms, g.terms)
+            c = random_scalar(rng, field, height)
+            v = tuple(rng.randint(0, 2) for _ in range(3))
+            assert f.scale(c).terms == _schoolbook_product(field, f.terms, {(0, 0, 0): c})
+            assert f.mono_mul(v, c).terms == _schoolbook_product(field, f.terms, {v: c})
+            assert f.mono_mul(v).terms == _schoolbook_product(field, f.terms, {v: field.one()})
+
+
+def test_nonzero_terms_multiply_to_zero_over_z_mod_2_8():
+    ring = ModPmRing(2, 8)
+    x16, y16 = P(ring, "x,y", "16x"), P(ring, "x,y", "16y")
+    assert (x16 * y16).is_zero()
+    assert x16.scale(16).is_zero()
+    assert parse_polynomial("16x*16y", ring, ["x", "y"]).is_zero()
+    # in a sum only the vanishing product drops out
+    assert P(ring, "x,y", "16x+y") * y16 == P(ring, "x,y", "16y^2")
+    assert P(ring, "x,y", "(16x+y)*16y") == P(ring, "x,y", "16y^2")
 
 
 def test_degree_multiplicative():
