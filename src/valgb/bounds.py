@@ -9,7 +9,6 @@ which only makes the bound more conservative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,8 +21,11 @@ def dube_degree_bound(n: int, d: int) -> int:
         raise ValueError("degree bound requires at least two variables")
     if d < 1:
         raise ValueError("generator degree must be positive")
-    value = 2 * (Fraction(d * d, 2) + d) ** (2 ** (n - 2))
-    return math.ceil(value)
+    k = 2 ** (n - 2)
+    # 2*(d(d+2)/2)^k = (d(d+2))^k / 2^(k-1): ceiled by shifting the negation,
+    # which stays linear in the size of D where a Fraction's ceiling is not
+    power = (d * (d + 2)) ** k
+    return -(-power >> (k - 1))
 
 
 def ceil_log(base: int, x) -> int:

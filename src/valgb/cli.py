@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+from fractions import Fraction
 
 from .bounds import dube_degree_bound, effective_valuation_bound
 from .cardinality import GenericityError, cardinality_report, default_orders
@@ -154,6 +155,17 @@ def _cmd_tropical_member(args) -> int:
     return EXIT_OK
 
 
+def _degree_bound_text(n: int, d: int) -> str:
+    """Dube's bound D exactly, or as 2*b^k (b = d^2/2 + d, k = 2^(n-2)) when
+    D has more digits than Python prints."""
+    D = dube_degree_bound(n, d)
+    try:
+        return str(D)
+    except ValueError:
+        b, k = Fraction(d * d, 2) + d, 2 ** (n - 2)
+        return f"2*{b}^{k}" if b.denominator == 1 else f"ceil(2*({b})^{k})"
+
+
 def _cmd_bounds(args) -> int:
     problem = _load_problem(args.file)
     _require_homogeneous(problem)
@@ -164,7 +176,7 @@ def _cmd_bounds(args) -> int:
     d = max(degrees)
     print(f"n = {n}")
     print(f"d = {d}")
-    print(f"D = {dube_degree_bound(n, d)}")
+    print(f"D = {_degree_bound_text(n, d)}")
     if isinstance(problem.field, QpField):
         report = effective_valuation_bound(
             problem.generators, problem.field.p, degree_cap=args.degree_cap,

@@ -49,9 +49,10 @@ the first time ``DivisionResult`` is asked for them.
 
 Every state in T shares the dividend's degree, so a recorded state divides
 only at its own leading monomial; recorded states are kept in a dict keyed
-by it.  Over a trivially valued field (Q and GF(p)) the leading monomial
-strictly falls, so no recorded state is ever used: the loop counts the
-states (|T| in traces) but stores no snapshot and updates q and r in place.
+by it.  A recorded state keeps copies of q and r; the live q and r are
+updated in place.  Over a trivially valued field (Q and GF(p)) the leading
+monomial strictly falls, so no recorded state is ever used: the loop counts
+the states (|T| in traces) but records none.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 
-from .fields import INF, ModPmRing, QpField, RationalField
+from .fields import INF
 from .polynomials import Monomial, Polynomial, mono_div, mono_divides, mono_mul, poly_to_str
 from .weights import WeightedOrder, _leading, leading_term
 
@@ -144,17 +145,6 @@ class _Divisor:
     u: object = None
 
 
-def _coeff_bits(c) -> int:
-    if isinstance(c, int):
-        return c.bit_length()
-    if hasattr(c, "numerator"):
-        return c.numerator.bit_length() + c.denominator.bit_length()
-    if hasattr(c, "integer_parts"):  # n/d in Q(t): every coefficient, at least 1 bit
-        n, d = c.integer_parts
-        return sum(x.bit_length() or 1 for x in n + d)
-    return 0
-
-
 def primitive_factor(f: Polynomial) -> Fraction:
     """The positive s that makes s*f a primitive integer polynomial (f over Q)."""
     cs = f.terms.values()
@@ -183,14 +173,11 @@ def _with_integer_terms(fld, n: int, terms: dict, s: Fraction) -> Polynomial:
     return f
 
 
-def _combine(alpha, A: dict, beta, B: dict, xv, mod, in_place=False) -> dict:
+def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
     """The term dict alpha*A - beta*x^xv*B, reduced mod ``mod`` unless that
-    is None; alpha and xv None stand for 1.  With alpha None and ``in_place``,
-    A itself is updated and returned."""
-    if alpha is not None:
-        out = {m: alpha * c for m, c in A.items()}
-    else:
-        out = A if in_place else dict(A)
+    is None; alpha and xv None stand for 1.  With alpha None, A itself is
+    updated and returned."""
+    out = A if alpha is None else {m: alpha * c for m, c in A.items()}
     for m, c in B.items():
         if xv is not None:
             m = mono_mul(m, xv)
@@ -262,13 +249,10 @@ def normal_form(
         raise ValueError("dividend must be homogeneous")
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
-    integral = isinstance(fld, (RationalField, QpField))
-    mod = fld.modulus if isinstance(fld, ModPmRing) else None
-    # the leading monomial strictly falls: recorded states are never used
-    trivial = isinstance(fld, RationalField) or (mod is not None and fld.m == 1)
+    mod = fld.modulus
 
     # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
-    in_loop_scalars = _integer_terms if integral else lambda g: (g.terms, None)
+    in_loop_scalars = _integer_terms if fld.integral else lambda g: (g.terms, None)
     originals: list[_Divisor] = []
     factors = []
     for i, g in enumerate(divisors):
@@ -285,7 +269,7 @@ def normal_form(
 
     one = fld.one()
     val = fld.val
-    if integral:
+    if fld.integral:
         # the state is held for the dividend s_f*f, so the unit is U*s_f
         Q, s_f = in_loop_scalars(f) if f.terms else ({}, Fraction(1))
         U = 1
@@ -311,7 +295,7 @@ def normal_form(
             num, den = a * s_f.denominator, U * s_f.numerator
             # reducing num/den only shrinks it: skip the gcd when in budget
             return (num.bit_length() + den.bit_length() > max_coeff_bits
-                    and _coeff_bits(Fraction(num, den)) > max_coeff_bits)
+                    and fld.bits(Fraction(num, den)) > max_coeff_bits)
 
         def unscaled(terms, inv_u):
             return Polynomial(fld, n, {m: inv_u * c for m, c in terms.items()}, _clean=True)
@@ -333,7 +317,7 @@ def normal_form(
             return None if U == one else fld.inv(U)
 
         def blown(a, U):
-            return _coeff_bits(fld.div(a, U)) > max_coeff_bits
+            return fld.bits(fld.div(a, U)) > max_coeff_bits
 
         def unscaled(terms, inv_u):
             if inv_u is None:
@@ -341,8 +325,7 @@ def normal_form(
             return Polynomial(fld, n, {m: fld.mul(c, inv_u) for m, c in terms.items()},
                               _clean=True)
 
-    if trivial:
-        Q = dict(Q)  # updated in place from here on
+    Q = dict(Q)  # updated in place from here on
     R: dict = {}
     recorded: dict = {}  # leading monomial -> the states recorded there
     n_states = 0
@@ -352,8 +335,8 @@ def normal_form(
 
     def record_state():
         nonlocal n_states
-        if not trivial:
-            recorded.setdefault(lm, []).append(_Divisor(Q, lm, a, n_states, R, U))
+        if not fld.trivially_valued:  # else the lm strictly falls: never used
+            recorded.setdefault(lm, []).append(_Divisor(dict(Q), lm, a, n_states, dict(R), U))
         n_states += 1
         record.append(None)
 
@@ -391,8 +374,6 @@ def normal_form(
         if best is None:
             # move the leading term to the remainder; the current state joins T
             record_state()
-            if not trivial:
-                R, Q = dict(R), dict(Q)
             R[lm] = a
             del Q[lm]
             action, dlabel = "remainder", "-"
@@ -403,8 +384,7 @@ def normal_form(
             if best_key[1] == 0:
                 k = best.index
                 xv = mono_div(lm, best.lm)
-                Q = _combine(alpha, Q, beta, best.terms, xv if any(xv) else None, mod,
-                             trivial)
+                Q = _combine(alpha, Q, beta, best.terms, xv if any(xv) else None, mod)
                 if alpha is not None:
                     U = alpha * U
                     R = {m: alpha * c for m, c in R.items()}

@@ -12,6 +12,11 @@ Every algorithm in this package runs over one of these domains:
 Scalars are plain Python values (Fraction, int, RatFunc) kept in a unique
 canonical form; all arithmetic and valuation queries are dispatched through
 the field object so the polynomial layer never inspects representations.
+The loops test no field class; they read the facts each field states:
+``integral`` (the loops hold primitive integer forms: Q and Qp),
+``trivially_valued`` (Q and GF(p)), ``modulus`` (p^m on Z/p^m, so p on
+GF(p); None elsewhere), ``is_field`` (false only for Z/p^m with m > 1) and
+``bits(a)``, the size of a scalar that the coefficient breaker reads.
 
 A Q(t) scalar, ``RatFunc``, is a quotient n/d of integer polynomials in t
 with gcd(n, d) = 1 in Z[t] and a positive leading coefficient of d.  Its
@@ -449,9 +454,14 @@ _ONE = _ratfunc(_Z1, _Z1)
 
 
 class CoefficientField:
-    """Arithmetic, valuation and residue dispatch for one scalar type."""
+    """Arithmetic, valuation and residue dispatch for one scalar type, and the
+    facts the loops read: integral, trivially_valued, modulus, is_field, bits."""
 
     label = "?"
+    integral = False
+    trivially_valued = False
+    modulus = None
+    is_field = True
 
     # -- scalar construction ------------------------------------------------
     def zero(self):
@@ -484,6 +494,10 @@ class CoefficientField:
         return self.div(self.one(), a)
 
     def is_zero(self, a) -> bool:
+        raise NotImplementedError
+
+    def bits(self, a) -> int:
+        """The size of a scalar in bits, as the coefficient breaker reads it."""
         raise NotImplementedError
 
     # -- valuation data -----------------------------------------------------
@@ -550,6 +564,8 @@ class _OperatorField(CoefficientField):
 class _FractionScalars:
     """Fraction scalars, shared by Qp(p) and trivially valued Q."""
 
+    integral = True
+
     def zero(self):
         return _F0
 
@@ -559,6 +575,9 @@ class _FractionScalars:
     def coerce(self, x):
         return x if type(x) is Fraction else Fraction(x)
 
+    def bits(self, a):
+        return a.numerator.bit_length() + a.denominator.bit_length()
+
     def format_coefficient(self, a):
         return a < 0, str(-a if a < 0 else a)
 
@@ -567,6 +586,7 @@ class RationalField(_FractionScalars, _OperatorField):
     """Q with the trivial valuation; its own residue field."""
 
     label = "Q"
+    trivially_valued = True
 
     def val(self, a):
         return INF if a == 0 else 0
@@ -648,6 +668,10 @@ class RationalFunctionField(_OperatorField):
     def phi(self, w):
         return RatFunc.t_power(w)
 
+    def bits(self, a):
+        n, d = a.integer_parts  # every coefficient, at least 1 bit
+        return sum(x.bit_length() or 1 for x in n + d)
+
     def unit_residue(self, a):
         return a.unit_residue()
 
@@ -695,6 +719,7 @@ class ModPmRing(CoefficientField):
         self.p = p
         self.m = m
         self.modulus = p**m
+        self.is_field = self.trivially_valued = m == 1
         self.label = f"Z/{p}^{m}"
 
     def zero(self):
@@ -737,6 +762,9 @@ class ModPmRing(CoefficientField):
 
     def is_zero(self, a):
         return a % self.modulus == 0
+
+    def bits(self, a):
+        return a.bit_length()
 
     def val(self, a):
         if a % self.p:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 
 from .division import _combine, _integer_terms, _with_integer_terms, normal_form
-from .fields import INF, ModPmRing, QpField, RationalField
+from .fields import INF
 from .linalg import rref
 from .polynomials import (
     Monomial,
@@ -101,7 +101,7 @@ def _integer_s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) ->
     xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
     # (b/d)*x^xf*F - (a/d)*x^xg*G = (sf*sg/d)*S, as F = sf*f and a = sf*lc(f)
     S = {mono_mul(m, xf): b // d * c for m, c in F.items()}
-    S = _combine(None, S, a // d, G, xg if any(xg) else None, None, True)
+    S = _combine(None, S, a // d, G, xg if any(xg) else None, None)
     if not S:
         return Polynomial.zero(f.field, f.nvars)
     c = gcd(*S.values())
@@ -205,9 +205,9 @@ def buchberger(
     """
 
     def normalized(f):
-        if isinstance(f.field, (RationalField, QpField)):
+        if f.field.integral:
             return _monic_from_integers(f.field, f.nvars, _integer_terms(f)[0], order)
-        if isinstance(f.field, ModPmRing) and f.field.m > 1:
+        if not f.field.is_field:
             return _modpm_normalize(f, order)
         return monic(f, order)
 
@@ -229,7 +229,7 @@ def buchberger(
     if not G:
         raise ValueError("need at least one nonzero generator")
     fld, n = G[0].field, G[0].nvars
-    integral = isinstance(fld, (RationalField, QpField))
+    integral = fld.integral
     spoly = _integer_s_polynomial if integral else s_polynomial
 
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
@@ -249,7 +249,7 @@ def buchberger(
     for j in range(len(G)):
         push_pairs(j)
 
-    interreducing = isinstance(fld, QpField)
+    interreducing = integral and not fld.trivially_valued  # Qp
     reduced_below = 0  # the elements of lower degree are reduced and come first
     joined = None  # the degree of the elements that joined since then
     counters = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
@@ -356,12 +356,11 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
     reduced, pivots = rref(dense, field)
     if pivots != list(range(len(block))):
         return None
-    integral = isinstance(field, (RationalField, QpField))
     out = []
     for t in targets:
         row = reduced[index[t]]
         terms = {columns[c]: v for c, v in row.items()}
-        if integral:  # a primitive row with a positive pivot entry
+        if field.integral:  # a primitive row with a positive pivot entry
             out.append(_with_integer_terms(field, nvars, terms, Fraction(terms[t])))
         else:  # the pivot entry is already one
             out.append(Polynomial(field, nvars, terms, _clean=True))
@@ -382,11 +381,10 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list, lowest: int
     none holds another row's leading monomial; those elements are returned.
     """
     field, nvars = elements[0].field, elements[0].nvars
-    integral = isinstance(field, (RationalField, QpField))
     owner = {}
     for g, lm in zip(elements, lms):
         owner.setdefault(lm, g)
-    reducer = {lm: _integer_terms(g)[0] if integral else g.terms for lm, g in owner.items()}
+    reducer = {lm: _integer_terms(g)[0] if field.integral else g.terms for lm, g in owner.items()}
     one = field.one()
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
@@ -448,7 +446,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
         raise ValueError("basis field/variable mismatch")
     if order.nvars != n:
         raise ValueError("order/variable mismatch")
-    if isinstance(fld, ModPmRing) and fld.m > 1:
+    if not fld.is_field:
         raise ValueError(f"{fld.label} is not a field; reduced bases need one")
     if not all(g.is_homogeneous() for g in elements):
         raise ValueError("basis elements must be homogeneous")
@@ -464,8 +462,7 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
     original generators divide to zero against the basis."""
     G = gb.elements
     order = gb.order
-    integral = bool(G) and isinstance(G[0].field, (RationalField, QpField))
-    spoly = _integer_s_polynomial if integral else s_polynomial
+    spoly = _integer_s_polynomial if G and G[0].field.integral else s_polynomial
     for f in generators:
         if f.is_zero():
             continue

@@ -18,9 +18,9 @@ Hilbert dimensions take any field.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb, gcd
 
-from .division import CoefficientBlowup, StepBudgetExceeded, primitive_factor
+from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
 from .fields import ModPmRing, QQ, QpField, padic_valuation
 from .groebner import (
     GroebnerBasis,
@@ -37,7 +37,6 @@ from .polynomials import (
     compositions,
     mono_degree,
     mono_divides,
-    monomials_of_degree,
 )
 from .weights import WeightedOrder, weight_dot
 
@@ -51,7 +50,7 @@ def clear_denominators(f: Polynomial) -> Polynomial:
     """Integer-primitive rescaling: coefficients become coprime integers."""
     if f.is_zero():
         return f
-    if not isinstance(next(iter(f.terms.values())), Fraction):
+    if not f.field.integral:
         raise ValueError("integer clearing needs rational coefficients")
     return f.scale(primitive_factor(f))
 
@@ -76,12 +75,28 @@ def hilbert_dim(F: list, d: int) -> int:
     if not F:
         return 0
     field, nvars = _field_and_nvars(F)
-    if isinstance(field, QpField):
+    if field.integral:
         F = [Polynomial(QQ, nvars, f.terms, _clean=True) for f in F]
     lms = buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
-    return sum(
-        1 for m in monomials_of_degree(nvars, d) if any(mono_divides(t, m) for t in lms)
-    )
+    return _standard_count([], nvars, d) - _standard_count(minimal_generators(lms), nvars, d)
+
+
+def _standard_count(gens: list, nvars: int, d: int) -> int:
+    """The number of degree-d monomials in nvars variables outside the
+    monomial ideal generated by gens, counted without listing
+    them.  Adding the generators one at a time, S(J + (m), d) is
+    S(J, d) - S(J : m, d - deg m), where J : m is generated by the
+    g / gcd(g, m); the count starts from C(n+d-1, d) for J = 0, and each
+    nested count is of a lower degree."""
+    if d < 0:
+        return 0
+    gens = [g for g in gens if mono_degree(g) <= d]
+    count = comb(nvars + d - 1, d)
+    for i, m in enumerate(gens):
+        colon = minimal_generators([tuple(max(a - b, 0) for a, b in zip(g, m))
+                                    for g in gens[:i]])
+        count -= _standard_count(colon, nvars, d - mono_degree(m))
+    return count
 
 
 def lift_groebner(
@@ -105,11 +120,9 @@ def lift_groebner(
     monomials = [tuple(m) for m in monomials]
     if any(len(m) != nvars for m in monomials):
         raise ValueError("monomial/variable mismatch")
-    gens = [
-        (f.homogeneous_degree(),
-         {m: c.numerator for m, c in clear_denominators(f).terms.items()})
-        for f in F
-    ]
+    if not field.integral:
+        raise ValueError("integer clearing needs rational coefficients")
+    gens = [(f.homogeneous_degree(), _integer_terms(f)[0]) for f in F]
     targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
@@ -142,13 +155,15 @@ def lift_groebner(
     return GroebnerBasis(sort_basis(out, order), order)
 
 
-def _substitute_weights(f: Polynomial, weights, p: int) -> Polynomial:
-    """x_i -> p^(w_i) x_i: each coefficient picks up p^(w . u)."""
-    field = f.field
-    out = {}
-    for m, c in f.terms.items():
-        out[m] = field.mul(c, Fraction(p) ** weight_dot(weights, m))
-    return Polynomial(field, f.nvars, out, _clean=True)
+def _substitute_weights(f: Polynomial, weights, p: int) -> dict:
+    """The primitive integer term dict of f under x_i -> p^(w_i) x_i, which
+    multiplies each coefficient by p^(w . u)."""
+    terms = _integer_terms(f)[0]
+    shift = {m: weight_dot(weights, m) for m in terms}
+    low = min(shift.values())
+    out = {m: c * p ** (shift[m] - low) for m, c in terms.items()}
+    g = gcd(*out.values())
+    return {m: c // g for m, c in out.items()}
 
 
 def gb_mod_pm(
@@ -191,12 +206,8 @@ def gb_mod_pm(
     prec = order.tiebreak
     zero_w = WeightedOrder((0,) * nvars, prec)
 
-    substituted = [clear_denominators(_substitute_weights(f, order.weights, p)) for f in F]
-    max_val = 0
-    for f in substituted:
-        for c in f.terms.values():
-            if c != 0:
-                max_val = max(max_val, padic_valuation(c.numerator, p))
+    substituted = [_substitute_weights(f, order.weights, p) for f in F]
+    max_val = max(padic_valuation(c, p) for terms in substituted for c in terms.values())
     if m is None:
         m = max(16, 2 * (1 + max_val))
 
@@ -205,7 +216,7 @@ def gb_mod_pm(
         info["m_values"].append(m)
         info["retries"] = len(info["m_values"]) - 1
         ring = ModPmRing(p, m)
-        mapped = [f.map_coefficients(ring.coerce, ring) for f in substituted]
+        mapped = [Polynomial(ring, nvars, terms) for terms in substituted]
         try:
             modular = buchberger(
                 mapped,

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .fields import QpField, RationalField
-
 
 def _eliminate(r: dict, col: int, p: int, top_rest: list) -> dict:
     """Primitive form of (p/g)*r - (f/g)*top, with f = r[col] and
@@ -72,7 +70,7 @@ def rref(rows: list[list], field=None) -> tuple[list[dict], list[int]]:
     elimination.  Over any other field the rows hold its scalars and every
     pivot entry is one.
     """
-    integral = field is None or isinstance(field, (RationalField, QpField))
+    integral = field is None or field.integral
     eliminate = _eliminate if integral else _unit_eliminate(field)
     # pending rows, bucketed by their first column; all of them are zero in
     # every pivot column found so far

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import ExtInt, RationalField
+from .fields import ExtInt
 from .polynomials import GREVLEX, Monomial, Polynomial, TermOrder
 
 LESS = -1
@@ -68,9 +68,9 @@ def _leading(terms: dict, fld, order: WeightedOrder):
 
     This is the leading-term scan of both ``leading_term`` and the division
     loop, which keeps its running polynomial as a bare term dict (of integers
-    over Q and Qp, which ``fld.val`` reads as well).
+    over Q and Qp, which ``fld.val`` reads unless the field is trivially valued).
     """
-    val = None if isinstance(fld, RationalField) else fld.val  # None: trivial
+    val = None if fld.trivially_valued else fld.val
     ranks = order._ranks
     best_w = best_m = best_key = None
     for m, c in terms.items():

@@ -1,5 +1,7 @@
 """Degree and valuation bound formulas with exact arithmetic."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,9 @@ from valgb import (
     valuation_bound,
 )
 from valgb.bounds import ceil_log
+from valgb.groebner import minimal_generators
+from valgb.lifting import _standard_count
+from valgb.polynomials import compositions, mono_divides
 
 from conftest import polys
 
@@ -24,6 +29,13 @@ def test_degree_bound_values():
     assert dube_degree_bound(2, 3) == 15
     assert dube_degree_bound(2, 1) == 3
     assert dube_degree_bound(4, 2) == 512  # 2 * 4^4
+
+
+def test_degree_bound_equals_the_fraction_formula():
+    for n in range(2, 9):
+        for d in range(1, 7):
+            exact = math.ceil(2 * (Fraction(d * d, 2) + d) ** (2 ** (n - 2)))
+            assert dube_degree_bound(n, d) == exact, (n, d)
 
 
 def test_degree_bound_rejects_small_n():
@@ -106,3 +118,18 @@ def test_bound_dominates_actual_valuations():
         f2.val(c) for g in basis.elements for c in g.terms.values()
     )
     assert worst <= report.valuation_bound
+
+
+def test_standard_count_matches_enumeration():
+    # the count of degree-d monomials outside a monomial ideal, read from its
+    # generators, against listing every monomial of degree d
+    rng = random.Random("standard-count")
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        gens = minimal_generators(gens)
+        d = rng.randint(0, 7)
+        outside = sum(1 for m in compositions(n, d)
+                      if not any(mono_divides(g, m) for g in gens))
+        assert _standard_count(gens, n, d) == outside, (gens, d)
+    assert _standard_count([(1, 0)], 2, -1) == 0

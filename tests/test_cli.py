@@ -1,5 +1,6 @@
 """End-to-end command-line behavior with golden outputs and exit codes."""
 
+import math
 import os
 import random
 import resource
@@ -333,6 +334,32 @@ def test_bounds_at_high_degree_is_fast(tmp_path, capsys, text, cap, expected):
     assert main(argv) == 0
     assert time.perf_counter() - t0 < 1.0
     out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in expected), out
+
+
+VARS15 = "vars " + ",".join(f"x{i}" for i in range(1, 16)) + "\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("field Q\n" + VARS15 + "ideal: x1^2+x2*x3, x4*x5\n",
+     ["d = 2", "D = 2*4^8192", "valuation_bound = n/a (needs a Qp(p) field)"]),
+    # dim I_64 = 2*C(76, 62) - C(74, 60) for a complete intersection of two
+    # quadrics in 15 variables
+    ("field Qp(2)\n" + VARS15 + "ideal: x1^2+2*x2*x3, x4*x5\n",
+     ["d = 2", "D = 2*4^8192", "evaluated_degree = 64",
+      f"A = {2 * math.comb(76, 62) - math.comb(74, 60)}", "truncated = true"]),
+    ("field Q\n" + VARS15 + "ideal: x1^3+x2*x3^2, x4*x5\n",
+     ["d = 3", "D = ceil(2*(15/2)^8192)"]),
+])
+def test_bounds_on_fifteen_variables(tmp_path, capsys, text, expected):
+    # D = 2*4^8192 has 4,933 digits, past what Python prints: it is shown in
+    # closed form, and A is counted from the leading ideal's generators
+    path = write(tmp_path, "bounds.vgb", text)
+    t0 = time.perf_counter()
+    assert main(["bounds", path]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "n = 15"
     assert all(line in out for line in expected), out
 
 

@@ -36,6 +36,9 @@ from oracles import EagerBlowup, eager_normal_form
 
 XYZ = "x,y,z"
 WORKED_ORDER = WeightedOrder((3, 2, 1), TermOrder("lex", (2, 1, 0)))  # x < y < z
+# far above every step count below: a division that stops terminating raises
+# StepBudgetExceeded instead of hanging the suite
+BUDGET = 10_000
 
 
 def test_ecart_examples():
@@ -63,7 +66,7 @@ def test_worked_division_golden():
     f2 = Qp(2)
     f = P(f2, XYZ, "x^2+y^2+z^2")
     g = P(f2, XYZ, "y+16z")
-    res = normal_form(f, [g], WORKED_ORDER, trace=True)
+    res = normal_form(f, [g], WORKED_ORDER, trace=True, max_steps=BUDGET)
     assert res.quotients[0] == P(f2, XYZ, "y-16z")
     assert res.remainder == P(f2, XYZ, "x^2+257z^2")
     assert res.step_count == 6
@@ -79,7 +82,7 @@ def test_division_termination_where_naive_loops():
     f2 = Qp(2)
     G = polys(f2, XYZ, "x-2y", "y-2z", "z-2x")
     x = P(f2, XYZ, "x")
-    res = normal_form(x, G, zero_order(3, TermOrder("lex")))
+    res = normal_form(x, G, zero_order(3, TermOrder("lex")), max_steps=BUDGET)
     assert res.remainder.is_zero()
     assert res.step_count < 100
     # membership witness: x = -1/7 ((x-2y) + 2(y-2z) + 4(z-2x))
@@ -134,7 +137,7 @@ def test_division_certificate_properties(field):
         G = random_ideal(rng, field, 3, max_degree=3, max_gens=3)
         f = random_homogeneous(rng, field, 3, rng.randint(1, 3))
         order = WeightedOrder(random_weights(rng, field, 3), GREVLEX)
-        res = normal_form(f, G, order)
+        res = normal_form(f, G, order, max_steps=BUDGET)
         # exact identity
         acc = res.remainder
         for h, g in zip(res.quotients, G):
@@ -158,7 +161,7 @@ def test_progress_is_strictly_monotone():
     f2 = Qp(2)
     f = P(f2, XYZ, "x^2+y^2+z^2")
     g = P(f2, XYZ, "y+16z")
-    res = normal_form(f, [g], WORKED_ORDER, trace=True)
+    res = normal_form(f, [g], WORKED_ORDER, trace=True, max_steps=BUDGET)
     qs = [st.q for st in res.trace]
     for a, b in zip(qs, qs[1:]):
         assert compare(b, a, WORKED_ORDER) == GREATER
@@ -172,7 +175,7 @@ def test_per_step_state_invariants():
         G = random_ideal(rng, f3, 3, max_degree=2, max_gens=2)
         f = random_homogeneous(rng, f3, 3, rng.randint(1, 2))
         order = WeightedOrder(random_weights(rng, f3, 3), GREVLEX)
-        res = normal_form(f, G, order, trace=True)
+        res = normal_form(f, G, order, trace=True, max_steps=BUDGET)
         for step in res.trace:
             assert compare(step.q, f, order) != LESS
             if not step.r.is_zero():
@@ -185,7 +188,7 @@ def test_modpm_division_matches_worked_example():
     ring = ModPmRing(2, m)
     f = Polynomial(ring, 3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     g = Polynomial(ring, 3, {(0, 1, 0): 1, (0, 0, 1): 16})
-    res = normal_form(f, [g], WORKED_ORDER)
+    res = normal_form(f, [g], WORKED_ORDER, max_steps=BUDGET)
     assert res.quotients[0] * g + res.remainder == f
     # 257 and the coefficients of y - 16z appear mod 2^12
     assert res.remainder == Polynomial(ring, 3, {(2, 0, 0): 1, (0, 0, 2): 257})
@@ -209,7 +212,7 @@ def test_modpm_certificates_random():
         fm = f.map_coefficients(lambda c: ring.coerce(c), ring)
         if fm.is_zero():
             continue
-        res = normal_form(fm, gens, order)
+        res = normal_form(fm, gens, order, max_steps=BUDGET)
         acc = res.remainder
         for h, g in zip(res.quotients, gens):
             acc = acc + h * g
@@ -248,7 +251,7 @@ def test_coefficient_blowup_breaker(monkeypatch):
     calls = []
     inv = f2.inv
     monkeypatch.setattr(f2, "inv", lambda a: calls.append(a) or inv(a))
-    worked = normal_form(f, [P(f2, XYZ, "y+16z")], WORKED_ORDER)
+    worked = normal_form(f, [P(f2, XYZ, "y+16z")], WORKED_ORDER, max_steps=BUDGET)
     assert worked.remainder == P(f2, XYZ, "x^2+257z^2")
     assert worked.quotients[0] == P(f2, XYZ, "y-16z")
     assert len(calls) <= 1
@@ -289,14 +292,15 @@ def test_lazy_division_matches_eager_oracle(field):
             # inexact division in Z/p^m, or the breaker: same kind, same message
             kind = ValueError if isinstance(exc, ValueError) else CoefficientBlowup
             with pytest.raises(kind) as info:
-                normal_form(f, G, order, max_coeff_bits=bits)
+                normal_form(f, G, order, max_coeff_bits=bits, max_steps=BUDGET)
             assert str(info.value) == str(exc), f"trial {trial}"
             continue
-        res = normal_form(f, G, order, max_coeff_bits=bits)
+        res = normal_form(f, G, order, max_coeff_bits=bits, max_steps=BUDGET)
         assert res.remainder == r, f"trial {trial}"
         assert res.quotients == h, f"trial {trial}"
         assert res.step_count == steps, f"trial {trial}"
-        traced = normal_form(f, G, order, max_coeff_bits=bits, trace=True)
+        traced = normal_form(f, G, order, max_coeff_bits=bits, trace=True,
+                             max_steps=BUDGET)
         assert [(s.q, s.r, s.action, s.t_size) for s in traced.trace] == log, f"trial {trial}"
         recorded += sum(action == "divide-recorded" for _, _, action, _ in log)
     # trivially valued Q never divides by a recorded state
@@ -331,7 +335,7 @@ def test_breaker_at_the_exact_bit_count_matches_eager_oracle(field):
                 except EagerBlowup as exc:
                     expected = str(exc)
                 try:
-                    normal_form(f, G, order, max_coeff_bits=budget)
+                    normal_form(f, G, order, max_coeff_bits=budget, max_steps=BUDGET)
                     got = None
                 except CoefficientBlowup as exc:
                     got = str(exc)
@@ -359,7 +363,7 @@ def test_w1_normal_form_does_no_field_arithmetic_per_step(monkeypatch):
     for name in ("add", "sub", "mul", "div", "inv"):
         op = getattr(f2, name)
         monkeypatch.setattr(f2, name, lambda *a, op=op, name=name: calls.append(name) or op(*a))
-    res = normal_form(f, divisors, order)
+    res = normal_form(f, divisors, order, max_steps=BUDGET)
     assert res.step_count == 85 and res.remainder == remainder
     assert len(calls) <= 2, calls  # none per step; at most the final 1/u
     monkeypatch.undo()

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from valgb import GF, INF, ModPmRing, QQ, Qp, Qt, RatFunc, fields
-from valgb.division import _coeff_bits
 from valgb.fields import padic_valuation
 
 from conftest import random_scalar
@@ -15,6 +14,35 @@ from oracles import (
 )
 
 ALL_FIELDS = [Qp(2), Qp(3), Qp(5), QQ, Qt(), GF(2), GF(7), ModPmRing(3, 1)]
+
+# label -> (integral, trivially_valued, modulus, is_field)
+FACTS = {
+    "Qp(2)": (True, False, None, True),
+    "Qp(3)": (True, False, None, True),
+    "Qp(5)": (True, False, None, True),
+    "Q": (True, True, None, True),
+    "Qt": (False, False, None, True),
+    "GF(2)": (False, True, 2, True),
+    "GF(7)": (False, True, 7, True),
+    "Z/3^1": (False, True, 3, True),
+    "Z/3^4": (False, False, 81, False),
+}
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + [ModPmRing(3, 4)], ids=lambda f: f.label)
+def test_field_facts(field):
+    facts = (field.integral, field.trivially_valued, field.modulus, field.is_field)
+    assert facts == FACTS[field.label]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + [ModPmRing(3, 4)], ids=lambda f: f.label)
+def test_bits_match_the_eager_oracle(field):
+    rng = random.Random(f"bits-{field.label}")
+    for _ in range(200):
+        a = random_scalar(rng, field, height=2**40, allow_zero=True)
+        b = random_scalar(rng, field, height=2**40)
+        c = field.div(a, b) if field.is_field and not field.is_zero(b) else field.mul(a, b)
+        assert field.bits(c) == _eager_bits(c)
 
 
 def test_infinity_absorbs():
@@ -305,7 +333,7 @@ def test_ratfunc_coeff_bits_read_from_the_integers():
         n, d = random_ratfunc_parts(rng, height=2**40)
         x = RatFunc(n, d)
         seen += x.integer_parts[1][-1] != 1
-        assert _coeff_bits(x) == _eager_bits(x)
+        assert Qt().bits(x) == _eager_bits(x)
     assert seen > 100  # most integer denominators are not monic
 
 
