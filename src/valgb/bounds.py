@@ -15,17 +15,36 @@ from fractions import Fraction
 from .lifting import clear_denominators, hilbert_dim
 
 
-def dube_degree_bound(n: int, d: int) -> int:
-    """2(d^2/2 + d)^(2^(n-2)), ceiled to an integer degree."""
+# D >= 2*(3/2)^k for k = 2^(n-2), so from 17 variables on D has more than
+# the 4,300 digits Python prints by default; such a D is never built
+MAX_BUILT_NVARS = 16
+
+
+def _dube_exponent(n: int, d: int) -> int:
     if n < 2:
         raise ValueError("degree bound requires at least two variables")
     if d < 1:
         raise ValueError("generator degree must be positive")
-    k = 2 ** (n - 2)
+    return 2 ** (n - 2)
+
+
+def dube_degree_bound(n: int, d: int) -> int:
+    """2(d^2/2 + d)^(2^(n-2)), ceiled to an integer degree."""
+    k = _dube_exponent(n, d)
     # 2*(d(d+2)/2)^k = (d(d+2))^k / 2^(k-1): ceiled by shifting the negation,
     # which stays linear in the size of D where a Fraction's ceiling is not
     power = (d * (d + 2)) ** k
     return -(-power >> (k - 1))
+
+
+def dube_exceeds(n: int, d: int, cap: int) -> bool:
+    """Whether Dube's bound D exceeds cap, decided from the exponent k when
+    D is large: D >= 2*(3/2)^k, and (3/2)^k > 2^b once k >= 2b, so D > cap
+    whenever k is at least twice cap's bit length b.  Otherwise D has at
+    most about 2b*log2(d(d+2)) bits and is compared exactly."""
+    if _dube_exponent(n, d) >= 2 * cap.bit_length():
+        return True
+    return dube_degree_bound(n, d) > cap
 
 
 def ceil_log(base: int, x) -> int:
@@ -49,10 +68,13 @@ def valuation_bound(C: int, A: int, p: int) -> Fraction:
 
 @dataclass
 class BoundReport:
+    """``degree_bound`` is Dube's D, or None past ``MAX_BUILT_NVARS``
+    variables, where D is never built (it is then truncated to the cap)."""
+
     nvars: int
     max_degree: int
     coeff_bound: int
-    degree_bound: int
+    degree_bound: int | None
     evaluated_degree: int
     ideal_dim: int
     valuation_bound: Fraction
@@ -72,9 +94,10 @@ def effective_valuation_bound(F: list, p: int, degree_cap: int = 64) -> BoundRep
     nvars = F[0].nvars
     delta = max(f.homogeneous_degree() for f in F)
     C = max(abs(int(c)) for f in F for c in f.terms.values())
-    D = dube_degree_bound(nvars, delta)
-    evaluated = max(delta, min(D, degree_cap))
-    truncated = evaluated < D
+    # D > delta always, so the evaluation is truncated exactly when D > cap
+    truncated = dube_exceeds(nvars, delta, degree_cap)
+    D = dube_degree_bound(nvars, delta) if nvars <= MAX_BUILT_NVARS else None
+    evaluated = max(delta, degree_cap) if truncated else D
     A = hilbert_dim(F, evaluated)
     if A == 0:
         return BoundReport(nvars, delta, C, D, evaluated, 0, Fraction(0), truncated)

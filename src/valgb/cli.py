@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .bounds import dube_degree_bound, effective_valuation_bound
+from .bounds import MAX_BUILT_NVARS, dube_degree_bound, effective_valuation_bound
 from .cardinality import GenericityError, cardinality_report, default_orders
 from .division import CoefficientBlowup, StepBudgetExceeded, normal_form
 from .fields import QpField
@@ -157,13 +157,15 @@ def _cmd_tropical_member(args) -> int:
 
 def _degree_bound_text(n: int, d: int) -> str:
     """Dube's bound D exactly, or as 2*b^k (b = d^2/2 + d, k = 2^(n-2)) when
-    D has more digits than Python prints."""
-    D = dube_degree_bound(n, d)
-    try:
-        return str(D)
-    except ValueError:
-        b, k = Fraction(d * d, 2) + d, 2 ** (n - 2)
-        return f"2*{b}^{k}" if b.denominator == 1 else f"ceil(2*({b})^{k})"
+    D has more digits than Python prints; past ``MAX_BUILT_NVARS`` variables
+    it always has, and D is not built."""
+    if n <= MAX_BUILT_NVARS:
+        try:
+            return str(dube_degree_bound(n, d))
+        except ValueError:
+            pass
+    b, k = Fraction(d * d, 2) + d, 2 ** (n - 2)
+    return f"2*{b}^{k}" if b.denominator == 1 else f"ceil(2*({b})^{k})"
 
 
 def _cmd_bounds(args) -> int:
@@ -238,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gb.add_argument("--retry-budget", type=int, default=None,
                       help="mod-p^m retry doublings, with --modpm (default 5)")
     p_gb.add_argument("--verify", action="store_true",
-                      help="re-check the basis property after computing")
+                      help="re-check that the result is a Groebner basis whose ideal "
+                           "contains the generators (not the converse)")
     p_gb.add_argument("--progress", action="store_true",
                       help="report pair progress on stderr (not with --modpm)")
     p_gb.set_defaults(func=_cmd_gb)

@@ -47,6 +47,13 @@ are not carried in the loop: it keeps one short record per step.  Both the
 remainder (divided by u) and the quotients are built from the final state
 the first time ``DivisionResult`` is asked for them.
 
+A strong normal form divides every term it can: no term of r is divisible
+by a leading monomial of the divisors.  A weak one (``weak=True``) stops at
+the first leading term nothing in T divides and keeps all of q as r, so
+only lm(r) is sure to avoid the divisors' leading monomials.  That is all
+Buchberger's criterion reads (Greuel-Pfister), and the completion loop asks
+for it over Q and GF(p); verification and ``valgb nf`` keep the strong form.
+
 Every state in T shares the dividend's degree, so a recorded state divides
 only at its own leading monomial; recorded states are kept in a dict keyed
 by it.  A recorded state keeps copies of q and r; the live q and r are
@@ -230,12 +237,18 @@ def normal_form(
     max_steps: int = 1_000_000,
     max_coeff_bits: int | None = None,
     trace: bool = False,
+    weak: bool = False,
 ) -> DivisionResult:
     """Divide f by a list of homogeneous polynomials under a weighted order.
 
     Returns quotients h_i and a strong normal form r with
     f = sum h_i g_i + r and no term of r divisible by any leading monomial
-    of the divisors.  Each h_i g_i and r rank no lower than f itself.
+    of the divisors.  Each h_i g_i and r rank no lower than f itself.  With
+    ``weak`` the division stops, without a further step, at the first
+    leading term that no entry of T divides and returns all that is left as
+    r, a weak normal form: the steps before it are the same, and so is the
+    identity, but only the leading monomial of r is sure to avoid the
+    divisors' leading monomials.
 
     Internally the loop holds u*f = sum h_i g_i + q + r up to a common
     scalar (see the module docstring) and divides by u once at the end; the
@@ -372,6 +385,9 @@ def normal_form(
                 best, best_key = entry, key
 
         if best is None:
+            if weak:  # R is still empty: all of q is the remainder
+                R = Q
+                break
             # move the leading term to the remainder; the current state joins T
             record_state()
             R[lm] = a

@@ -21,6 +21,22 @@ interreduces each closed degree once an element has joined, as homogeneous
 Buchberger implementations do, and later pairs divide by a truncated
 reduced basis.
 
+Two rules spare the loop division work that cannot change its basis.
+Over the trivially valued Q and GF(p) a new element is the division's weak
+normal form (``normal_form(..., weak=True)``): the loop reads only its
+leading monomial, and ``reduce_basis`` reads tails off its RREF anyway.
+Over Qp, Q(t) and Z/p^m, where the division may divide by its recorded
+states, the loop keeps strong normal forms.  With the criteria on and r <= n
+distinct generators over a field, the Hilbert skip drops a pair of degree
+d once dim <lm G>_d reaches c_d, the dimension of the degree-d slice of r
+generic forms of the generators' degrees (``hilbert.generic_dims``).
+Macaulay rank is lower semicontinuous and generic forms are a regular
+sequence, so dim <lm G>_d <= dim in_w(I)_d = dim I_d <= c_d; equality makes
+<lm G>_d all of in_w(I)_d, and every remainder of degree d is zero (Traverso,
+"Hilbert functions and the Buchberger algorithm", 1996).  It never applies
+past n generators, where the generic count is Froberg's unproven
+conjecture, nor over Z/p^m, nor in ``is_basis_of``.
+
 The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
 Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
@@ -38,10 +54,12 @@ from math import gcd
 
 from .division import _combine, _integer_terms, _with_integer_terms, normal_form
 from .fields import INF
+from .hilbert import generic_dims, multiples
 from .linalg import rref
 from .polynomials import (
     Monomial,
     Polynomial,
+    minimal_generators,
     mono_degree,
     mono_divides,
     mono_div,
@@ -202,6 +220,16 @@ def buchberger(
     rule stays off elsewhere: over Q and GF(p) the division never records a
     state, and over Q(t) it slowed the bases tried and mended no known
     blow-up.
+
+    Over Q and GF(p) each new element is a weak normal form, so its tail
+    stays unreduced.  Over a field, with at most n distinct generators in n
+    variables, a pair that survives B1 and B2 is skipped when the leading
+    monomials already fill its degree d up to c_d (see the module
+    docstring); stats count these as ``hilbert``.  c_d is set up when the
+    first pair survives the criteria, and each degree's leading-ideal
+    monomials are listed once and extended as elements join.
+    ``use_criteria=False`` turns off B1, B2 and the Hilbert skip, so every
+    pair is divided.
     """
 
     def normalized(f):
@@ -230,6 +258,7 @@ def buchberger(
         raise ValueError("need at least one nonzero generator")
     fld, n = G[0].field, G[0].nvars
     integral = fld.integral
+    weak = fld.trivially_valued  # the loop reads only a remainder's leading monomial
     spoly = _integer_s_polynomial if integral else s_polynomial
 
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
@@ -252,8 +281,27 @@ def buchberger(
     interreducing = integral and not fld.trivially_valued  # Qp
     reduced_below = 0  # the elements of lower degree are reduced and come first
     joined = None  # the degree of the elements that joined since then
-    counters = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
-                "interreductions": 0}
+    counters = {"pairs": 0, "b1": 0, "b2": 0, "hilbert": 0, "reductions_to_zero": 0,
+                "new_elements": 0, "interreductions": 0}
+
+    # the Hilbert skip, set up when a pair first survives B1 and B2
+    skipping = use_criteria and fld.is_field and len(G) <= n
+    generic = None  # d -> c_d
+    # d -> [c_d, |lms| read, the degree-d monomials of <lm G>]; interreduction
+    # reorders lms only on the way to a degree above every slice made so far
+    slices: dict = {}
+
+    def closed_by_count(d: int) -> bool:
+        nonlocal generic
+        if generic is None:  # nothing has joined yet: lms are the generators'
+            generic = generic_dims(n, [mono_degree(lm) for lm in lms])
+        got = slices.get(d)
+        if got is None:
+            got = slices[d] = [generic(d), 0, set()]
+        if got[1] < len(lms):
+            got[2] |= multiples(lms[got[1]:], n, d)
+            got[1] = len(lms)
+        return len(got[2]) == got[0]
 
     def interreduce(d: int):
         nonlocal reduced_below
@@ -275,7 +323,7 @@ def buchberger(
         if interreducing and joined is not None and heap[0][0] > joined:
             interreduce(heap[0][0])
             joined = None
-        _, _, i, j = heapq.heappop(heap)
+        d, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         counters["pairs"] += 1
         pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
@@ -285,12 +333,15 @@ def buchberger(
         if use_criteria and criterion_b2(pair, lms, pending):
             counters["b2"] += 1
             continue
+        if skipping and closed_by_count(d):
+            counters["hilbert"] += 1
+            continue
         s = spoly(G[i], G[j], order)
         if s.is_zero():
             counters["reductions_to_zero"] += 1
             continue
         result = normal_form(
-            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits
+            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits, weak=weak
         )
         r = None
         if result._r:  # u*remainder in the division's scalars
@@ -309,16 +360,6 @@ def buchberger(
         if progress is not None:
             progress(counters["pairs"], len(heap))
     return GroebnerBasis(G, order, stats=counters)
-
-
-def minimal_generators(monomials: list) -> list[Monomial]:
-    """Minimal generating set of the monomial ideal spanned by the input."""
-    distinct = sorted(set(monomials), key=lambda m: (mono_degree(m), m))
-    out = []
-    for m in distinct:
-        if not any(mono_divides(other, m) for other in out):
-            out.append(m)
-    return out
 
 
 def sort_basis(elements: list, order: WeightedOrder) -> list:
@@ -459,7 +500,16 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
                 max_steps: int = 1_000_000,
                 max_coeff_bits: int | None = None) -> bool:
     """Verify the basis property over the field: all surviving S-pairs and all
-    original generators divide to zero against the basis."""
+    original generators divide to zero against the basis.
+
+    So it proves that G is a basis of <G> and that the generators F lie in
+    <G>, but not that <G> lies in <F>: over Qp(2), G = [x, y] passes for
+    F = [x].  Its callers meet that half by construction: ``gb_mod_pm``'s
+    lifted rows are combinations of multiples of F, and ``valgb gb
+    --verify`` checks the basis the CLI itself computed.  For the same
+    reason it never uses the Hilbert skip of ``buchberger``, whose counts
+    need <G> = <F>.  Every S-pair not skipped by B1 is divided.
+    """
     G = gb.elements
     order = gb.order
     spoly = _integer_s_polynomial if G and G[0].field.integral else s_polynomial

@@ -18,10 +18,11 @@ Hilbert dimensions take any field.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 
 from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
 from .fields import ModPmRing, QQ, QpField, padic_valuation
+from .hilbert import monomial_ideal_dim
 from .groebner import (
     GroebnerBasis,
     _reduced_rows,
@@ -78,25 +79,7 @@ def hilbert_dim(F: list, d: int) -> int:
     if field.integral:
         F = [Polynomial(QQ, nvars, f.terms, _clean=True) for f in F]
     lms = buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
-    return _standard_count([], nvars, d) - _standard_count(minimal_generators(lms), nvars, d)
-
-
-def _standard_count(gens: list, nvars: int, d: int) -> int:
-    """The number of degree-d monomials in nvars variables outside the
-    monomial ideal generated by gens, counted without listing
-    them.  Adding the generators one at a time, S(J + (m), d) is
-    S(J, d) - S(J : m, d - deg m), where J : m is generated by the
-    g / gcd(g, m); the count starts from C(n+d-1, d) for J = 0, and each
-    nested count is of a lower degree."""
-    if d < 0:
-        return 0
-    gens = [g for g in gens if mono_degree(g) <= d]
-    count = comb(nvars + d - 1, d)
-    for i, m in enumerate(gens):
-        colon = minimal_generators([tuple(max(a - b, 0) for a, b in zip(g, m))
-                                    for g in gens[:i]])
-        count -= _standard_count(colon, nvars, d - mono_degree(m))
-    return count
+    return monomial_ideal_dim(lms, nvars, d)
 
 
 def lift_groebner(

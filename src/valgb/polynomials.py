@@ -43,6 +43,16 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
+def minimal_generators(monomials: list) -> list[Monomial]:
+    """Minimal generating set of the monomial ideal spanned by the input."""
+    distinct = sorted(set(monomials), key=lambda m: (mono_degree(m), m))
+    out = []
+    for m in distinct:
+        if not any(mono_divides(other, m) for other in out):
+            out.append(m)
+    return out
+
+
 class _SortKeys(dict):
     """Monomial -> sort key of one (kind, priority), filled on first lookup.
 

@@ -14,6 +14,7 @@ cardinality sampler use only the package's polynomials and fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -596,17 +597,69 @@ def _oracle_reduced_degree(elements, lms, targets, e):
             for t in targets if sum(t) == e]
 
 
+def _oracle_generic_dim(degrees, n, d):
+    """dim S_d minus the t^d coefficient of prod(1 - t^e) / (1 - t)^n, the
+    series truncated after t^d and divided by 1 - t as n prefix sums."""
+    series = [1] + [0] * d
+    for e in degrees:
+        series = [c - (series[k - e] if k >= e else 0) for k, c in enumerate(series)]
+    for _ in range(n):
+        series = list(accumulate(series))
+    return len(list(_monomials(n, d))) - series[d]
+
+
+def _oracle_leading_dim(lms, n, d):
+    """The degree-d monomials some leading monomial divides, enumerated."""
+    return sum(any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+               for m in _monomials(n, d))
+
+
+def _oracle_top_reduction(f, G, order, max_steps, max_coeff_bits):
+    """Cancel the leading term of f against G while some leading monomial
+    divides it, on Fraction polynomials: the weak normal form.  The divisor
+    has the fewest monomials outside f's support, then the lowest index;
+    the budgets raise the package's exceptions with its messages."""
+    from valgb.division import CoefficientBlowup, StepBudgetExceeded
+    from valgb.weights import leading_term
+
+    heads = [leading_term(g, order)[1:] for g in G]
+    q, steps = f, 0
+    while not q.is_zero():
+        if steps >= max_steps:
+            raise StepBudgetExceeded(f"division did not finish within {max_steps} steps")
+        _, lm, lc = leading_term(q, order)
+        if (max_coeff_bits is not None
+                and lc.numerator.bit_length() + lc.denominator.bit_length() > max_coeff_bits):
+            raise CoefficientBlowup(
+                f"leading coefficient exceeded {max_coeff_bits} bits after {steps} steps")
+        choices = [(len(g.terms.keys() - q.terms.keys()), k) for k, g in enumerate(G)
+                   if all(a <= b for a, b in zip(heads[k][0], lm))]
+        if not choices:
+            return q
+        k = min(choices)[1]
+        g_lm, g_lc = heads[k]
+        q = q - G[k].mono_mul(tuple(a - b for a, b in zip(lm, g_lm)), lc / g_lc)
+        steps += 1
+    return q
+
+
 def fraction_buchberger(generators, order, *, use_criteria=True,
                         max_steps=1_000_000, max_coeff_bits=None):
     """The package's earlier completion loop, kept as the reference for the
     integer one over Q and Qp: Fraction S-polynomials (``s_polynomial``),
-    the Fraction remainder of the package's division, and ``monic``.
+    the Fraction remainder of the package's division over Qp, and ``monic``.
+    Over Q the remainder is ``_oracle_top_reduction``'s weak normal form.
 
     Over Qp it interreduces the closed degrees as ``buchberger`` does, each
     degree by ``_oracle_reduced_degree``: before the first pair of degree d,
     if an element joined since the last such step, the elements of degree
     below d become the reduced ones (ascending degree, then exponent tuple)
     and the pairs of degree d and above are queued afresh.
+
+    With the criteria on and at most n distinct generators in n variables,
+    a pair that survives B1 and B2 is skipped (counted as ``hilbert``) when
+    the leading monomials fill its degree d up to the count c_d of generic
+    forms of the generators' degrees (``_oracle_generic_dim``).
 
     Returns (elements, stats) as ``buchberger`` returns them in its
     ``GroebnerBasis``.
@@ -638,12 +691,15 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
 
     for j in range(len(G)):
         push_pairs(j)
-    stats = {"pairs": 0, "b1": 0, "b2": 0, "reductions_to_zero": 0, "new_elements": 0,
-             "interreductions": 0}
+    stats = {"pairs": 0, "b1": 0, "b2": 0, "hilbert": 0, "reductions_to_zero": 0,
+             "new_elements": 0, "interreductions": 0}
+    qp = isinstance(G[0].field, QpField)
+    n = order.nvars
+    degrees = [g.degree() for g in G] if use_criteria and len(G) <= n else None
     reduced_below, joined = 0, None
     while heap:
         d = heap[0][0]
-        if isinstance(G[0].field, QpField) and joined is not None and d > joined:
+        if qp and joined is not None and d > joined:
             closed = [(g, lm) for g, lm in zip(G, lms) if sum(lm) < d]
             closed_lms = [lm for _, lm in closed]
             targets = sorted({m for m in closed_lms if not any(
@@ -660,7 +716,7 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
                 push_pairs(j, d)
             stats["interreductions"] += 1
             reduced_below, joined = d, None
-        _, _, i, j = heapq.heappop(heap)
+        d, _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         stats["pairs"] += 1
         pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
@@ -670,9 +726,18 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
         if use_criteria and criterion_b2(pair, lms, pending):
             stats["b2"] += 1
             continue
+        if degrees is not None and (_oracle_leading_dim(lms, n, d)
+                                    == _oracle_generic_dim(degrees, n, d)):
+            stats["hilbert"] += 1
+            continue
         s = s_polynomial(G[i], G[j], order)
-        r = s if s.is_zero() else normal_form(
-            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits).remainder
+        if s.is_zero():
+            r = s
+        elif qp:
+            r = normal_form(s, G, order, max_steps=max_steps,
+                            max_coeff_bits=max_coeff_bits).remainder
+        else:
+            r = _oracle_top_reduction(s, G, order, max_steps, max_coeff_bits)
         if r.is_zero():
             stats["reductions_to_zero"] += 1
             continue

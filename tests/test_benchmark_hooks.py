@@ -68,9 +68,9 @@ def test_benchmark_outputs_match_digests(workload):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("cli-mixed", {"division.normal_form_calls": 105, "division.steps": 1455,
-                   "division.steps_max": 24, "division.breaker_trips": 0}),
-    ("padic-blowup", {"division.normal_form_calls": 69, "division.steps": 1112,
+    ("cli-mixed", {"division.normal_form_calls": 80, "division.steps": 127,
+                   "division.steps_max": 9, "division.breaker_trips": 0}),
+    ("padic-blowup", {"division.normal_form_calls": 67, "division.steps": 1035,
                       "division.steps_max": 49, "division.breaker_trips": 1}),
 ])
 def test_traced_division_counts(workload, counts):

@@ -18,7 +18,7 @@ from valgb import (
 )
 from valgb.bounds import ceil_log
 from valgb.groebner import minimal_generators
-from valgb.lifting import _standard_count
+from valgb.hilbert import _standard_count
 from valgb.polynomials import compositions, mono_divides
 
 from conftest import polys
@@ -36,6 +36,21 @@ def test_degree_bound_equals_the_fraction_formula():
         for d in range(1, 7):
             exact = math.ceil(2 * (Fraction(d * d, 2) + d) ** (2 ** (n - 2)))
             assert dube_degree_bound(n, d) == exact, (n, d)
+
+
+def test_dube_exceeds_matches_the_built_bound():
+    # the exponent argument and the exact comparison agree on every cap
+    # around D, and D is not built for 30 variables
+    from valgb.bounds import dube_exceeds
+
+    for n in range(2, 8):
+        for d in range(1, 5):
+            D = dube_degree_bound(n, d)
+            for cap in {0, 1, 2, D // 2, D - 1, D, D + 1, 2 * D, 10 ** 6}:
+                assert dube_exceeds(n, d, cap) == (D > cap), (n, d, cap)
+    assert dube_exceeds(30, 2, 10 ** 30)
+    with pytest.raises(ValueError):
+        dube_exceeds(1, 2, 8)
 
 
 def test_degree_bound_rejects_small_n():
@@ -95,6 +110,17 @@ def test_effective_bound_rejects_non_rational_coefficients():
 
     with pytest.raises(ValueError):
         effective_valuation_bound(polys(Qt(), "x,y", "t*x+y"), 2)
+
+
+def test_effective_bound_past_sixteen_variables():
+    # D = 2*4^(2^28) is never built: the report holds None in its place, and
+    # A is the complete-intersection value 2*C(35, 6) - C(33, 4)
+    names = ",".join(f"x{i}" for i in range(1, 31))
+    F = polys(Qp(2), names, "x1^2+2*x2*x3", "x4*x5")
+    report = effective_valuation_bound(F, 2, degree_cap=8)
+    assert report.degree_bound is None
+    assert report.evaluated_degree == 8 and report.truncated
+    assert report.ideal_dim == 2 * math.comb(35, 6) - math.comb(33, 4)
 
 
 def test_effective_bound_truncation_flag():

@@ -363,6 +363,20 @@ def test_bounds_on_fifteen_variables(tmp_path, capsys, text, expected):
     assert all(line in out for line in expected), out
 
 
+def test_bounds_on_thirty_variables(tmp_path, capsys):
+    # Dube's D has 2^29 + 1 bits here; deciding the cap from its exponent
+    # and printing it in closed form never builds it
+    names = ",".join(f"x{i}" for i in range(1, 31))
+    path = write(tmp_path, "bounds.vgb",
+                 f"field Qp(2)\nvars {names}\nideal: x1^2+2*x2*x3, x4*x5\n")
+    t0 = time.perf_counter()
+    assert main(["bounds", path, "--degree-cap", "8"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["n = 30", "d = 2", "D = 2*4^268435456", "C = 2", "evaluated_degree = 8",
+                   "A = 3205400", "valuation_bound = 38464800", "truncated = true"]
+
+
 def test_compare_cardinality_csv(capsys):
     assert main(["compare-cardinality", "--e", "1", "--seeds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()

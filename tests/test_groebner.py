@@ -532,6 +532,16 @@ def test_is_basis_of_matches_fraction_oracle():
     assert falses["dropped"] > 50 and falses["perturbed"] > 50, falses
 
 
+def test_is_basis_of_checks_one_inclusion_only():
+    # it checks that the generators lie in <G>, not that <G> lies in <F>:
+    # [x, y] is a basis and contains x, so it passes for F = [x]
+    f2 = Qp(2)
+    x, y = polys(f2, "x,y", "x", "y")
+    order = zero_order(2)
+    assert is_basis_of(GroebnerBasis([x, y], order), [x]) is True
+    assert is_basis_of(GroebnerBasis([x], order), [x, y]) is False
+
+
 def test_nine_variable_no_criteria_run_trips_the_breaker():
     gens, _, order = nine_variable_problem()
     message = "leading coefficient exceeded 20000 bits after 77 steps"
