@@ -51,8 +51,11 @@ A strong normal form divides every term it can: no term of r is divisible
 by a leading monomial of the divisors.  A weak one (``weak=True``) stops at
 the first leading term nothing in T divides and keeps all of q as r, so
 only lm(r) is sure to avoid the divisors' leading monomials.  That is all
-Buchberger's criterion reads (Greuel-Pfister), and the completion loop asks
-for it over Q and GF(p); verification and ``valgb nf`` keep the strong form.
+Buchberger's criterion reads (Greuel-Pfister), so the completion loop asks
+for it over every field and ``is_basis_of`` always asks for it.  The strong
+form, the default, serves the readers of the whole remainder: ``valgb nf``,
+which prints the division certificate, and the loop over Z/p^m (m > 1),
+whose ``_modpm_normalize`` reads the remainder's p-content.
 
 Every state in T shares the dividend's degree, so a recorded state divides
 only at its own leading monomial; recorded states are kept in a dict keyed

@@ -7,12 +7,28 @@ S-polynomial of two elements divides to zero against G.  The reduced basis
 
 Valued division reduces S-polynomials and verifies bases.  Over Q and Qp
 the completion loop and ``is_basis_of`` work on integers: each element is
-read as its memoized primitive integer form, each S-polynomial is formed on
-those forms and handed to the division with its own integer form already
-memoized, and a new element is made monic once, from the division's integer
-remainder.  Q(t), GF(p) and Z/p^m use ``s_polynomial``.  The ring picks how
-a new element is normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m
-(m > 1) first strips its p-content and reads truncation noise as zero.
+read as its memoized primitive integer form, ``s_polynomial`` forms each
+S-polynomial on those forms and hands it to the division with its own
+integer form already memoized, and a new element is made monic once, from
+the division's integer remainder.  The ring picks how a new element is
+normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m (m > 1) first
+strips its p-content and reads truncation noise as zero.
+
+One normal-form rule serves every field.  Buchberger's criterion reads only
+whether a remainder is zero and, if not, its leading monomial, so the loop
+and both divisions of ``is_basis_of`` ask for the weak normal form
+(``normal_form(..., weak=True)``; Greuel-Pfister).  When G is a basis and
+the dividend lies in <G>, the running q stays in <G> while the remainder is
+empty, so lm(q) always has a divisor and the weak division takes the
+strong one's steps.  A strong remainder is nonzero only after a remainder
+step, and that is exactly where the weak division stops, so the two give
+the same verdicts; they differ only where the strong one carries the tail
+on past that step into the bit breaker.  That tail work is where the strong
+form blew up on random quadrics over Qp, and ``reduce_basis`` reads tails
+off its RREF anyway.  The exception is Z/p^m (m > 1), the modular run
+of ``lifting.gb_mod_pm``: ``_modpm_normalize`` reads the p-content of the
+whole remainder to tell truncation noise from a new element, so the loop
+keeps strong forms there.
 
 Over Qp the valued division may divide by its own recorded states, and
 against an unreduced basis its rationals can grow far beyond the basis it
@@ -21,21 +37,17 @@ interreduces each closed degree once an element has joined, as homogeneous
 Buchberger implementations do, and later pairs divide by a truncated
 reduced basis.
 
-Two rules spare the loop division work that cannot change its basis.
-Over the trivially valued Q and GF(p) a new element is the division's weak
-normal form (``normal_form(..., weak=True)``): the loop reads only its
-leading monomial, and ``reduce_basis`` reads tails off its RREF anyway.
-Over Qp, Q(t) and Z/p^m, where the division may divide by its recorded
-states, the loop keeps strong normal forms.  With the criteria on and r <= n
-distinct generators over a field, the Hilbert skip drops a pair of degree
-d once dim <lm G>_d reaches c_d, the dimension of the degree-d slice of r
-generic forms of the generators' degrees (``hilbert.generic_dims``).
-Macaulay rank is lower semicontinuous and generic forms are a regular
-sequence, so dim <lm G>_d <= dim in_w(I)_d = dim I_d <= c_d; equality makes
-<lm G>_d all of in_w(I)_d, and every remainder of degree d is zero (Traverso,
-"Hilbert functions and the Buchberger algorithm", 1996).  It never applies
-past n generators, where the generic count is Froberg's unproven
-conjecture, nor over Z/p^m, nor in ``is_basis_of``.
+The Hilbert skip spares the loop divisions that cannot change its basis.
+With the criteria on and r <= n distinct generators over a field, it drops
+a pair of degree d once dim <lm G>_d reaches c_d, the dimension of the
+degree-d slice of r generic forms of the generators' degrees
+(``hilbert.generic_dims``).  Macaulay rank is lower semicontinuous and
+generic forms are a regular sequence, so dim <lm G>_d <= dim in_w(I)_d =
+dim I_d <= c_d; equality makes <lm G>_d all of in_w(I)_d, and every
+remainder of degree d is zero (Traverso, "Hilbert functions and the
+Buchberger algorithm", 1996).  It never applies past n generators, where
+the generic count is Froberg's unproven conjecture, nor over Z/p^m, nor in
+``is_basis_of``.
 
 The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
@@ -99,24 +111,21 @@ class CriticalPair:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomial:
-    """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g, computed exactly."""
+    """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g, computed exactly.
+
+    Over Q and Qp it is formed on the memoized primitive integer forms of f
+    and g and returned with its own integer form seeded."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     _, lmf, lcf = leading_term(f, order)
     _, lmg, lcg = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
-    return f.mono_mul(mono_div(lcm, lmf), lcg) - g.mono_mul(mono_div(lcm, lmg), lcf)
-
-
-def _integer_s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomial:
-    """``s_polynomial(f, g, order)`` over Q or Qp, formed on the memoized
-    primitive integer forms of f and g and returned with its own seeded."""
+    xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
+    if not f.field.integral:
+        return f.mono_mul(xf, lcg) - g.mono_mul(xg, lcf)
     (F, sf), (G, sg) = _integer_terms(f), _integer_terms(g)
-    lmf, lmg = leading_term(f, order)[1], leading_term(g, order)[1]
     a, b = F[lmf], G[lmg]
     d = gcd(a, b)
-    lcm = mono_lcm(lmf, lmg)
-    xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
     # (b/d)*x^xf*F - (a/d)*x^xg*G = (sf*sg/d)*S, as F = sf*f and a = sf*lc(f)
     S = {mono_mul(m, xf): b // d * c for m, c in F.items()}
     S = _combine(None, S, a // d, G, xg if any(xg) else None, None)
@@ -221,15 +230,18 @@ def buchberger(
     state, and over Q(t) it slowed the bases tried and mended no known
     blow-up.
 
-    Over Q and GF(p) each new element is a weak normal form, so its tail
-    stays unreduced.  Over a field, with at most n distinct generators in n
-    variables, a pair that survives B1 and B2 is skipped when the leading
-    monomials already fill its degree d up to c_d (see the module
-    docstring); stats count these as ``hilbert``.  c_d is set up when the
+    Over every field each new element is a weak normal form, so its tail
+    stays unreduced; over Z/p^m with m > 1 it is a strong one, whose
+    p-content ``_modpm_normalize`` reads (see the module docstring).  Over a
+    field, with at most n distinct generators in n variables, a pair that
+    survives B1 and B2 is skipped when the leading monomials already fill
+    its degree d up to c_d (see the module docstring); stats count these as
+    ``hilbert``.  c_d is set up when the
     first pair survives the criteria, and each degree's leading-ideal
     monomials are listed once and extended as elements join.
     ``use_criteria=False`` turns off B1, B2 and the Hilbert skip, so every
-    pair is divided.
+    pair is divided.  ``progress(done, remaining)`` is called once per popped
+    pair, divided or skipped, with the pairs popped so far and still queued.
     """
 
     def normalized(f):
@@ -258,8 +270,7 @@ def buchberger(
         raise ValueError("need at least one nonzero generator")
     fld, n = G[0].field, G[0].nvars
     integral = fld.integral
-    weak = fld.trivially_valued  # the loop reads only a remainder's leading monomial
-    spoly = _integer_s_polynomial if integral else s_polynomial
+    weak = fld.is_field  # the loop reads only a remainder's leading monomial
 
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
     heap: list = []
@@ -329,34 +340,29 @@ def buchberger(
         pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
         if use_criteria and criterion_b1(pair):
             counters["b1"] += 1
-            continue
-        if use_criteria and criterion_b2(pair, lms, pending):
+        elif use_criteria and criterion_b2(pair, lms, pending):
             counters["b2"] += 1
-            continue
-        if skipping and closed_by_count(d):
+        elif skipping and closed_by_count(d):
             counters["hilbert"] += 1
-            continue
-        s = spoly(G[i], G[j], order)
-        if s.is_zero():
-            counters["reductions_to_zero"] += 1
-            continue
-        result = normal_form(
-            s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits, weak=weak
-        )
-        r = None
-        if result._r:  # u*remainder in the division's scalars
-            if integral:
-                r = _monic_from_integers(fld, n, result._r, order)
-            else:
-                r = normalized(result.remainder)  # may declare the remainder negligible
-        if not r:
-            counters["reductions_to_zero"] += 1
         else:
-            G.append(r)
-            lms.append(leading_term(r, order)[1])
-            counters["new_elements"] += 1
-            joined = mono_degree(lms[-1])
-            push_pairs(len(G) - 1)
+            s = s_polynomial(G[i], G[j], order)
+            r = None
+            if s:
+                result = normal_form(s, G, order, max_steps=max_steps,
+                                     max_coeff_bits=max_coeff_bits, weak=weak)
+                if result._r:  # u*remainder in the division's scalars
+                    if integral:
+                        r = _monic_from_integers(fld, n, result._r, order)
+                    else:  # may declare the remainder negligible
+                        r = normalized(result.remainder)
+            if not r:
+                counters["reductions_to_zero"] += 1
+            else:
+                G.append(r)
+                lms.append(leading_term(r, order)[1])
+                counters["new_elements"] += 1
+                joined = mono_degree(lms[-1])
+                push_pairs(len(G) - 1)
         if progress is not None:
             progress(counters["pairs"], len(heap))
     return GroebnerBasis(G, order, stats=counters)
@@ -500,7 +506,12 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
                 max_steps: int = 1_000_000,
                 max_coeff_bits: int | None = None) -> bool:
     """Verify the basis property over the field: all surviving S-pairs and all
-    original generators divide to zero against the basis.
+    original generators have a zero weak normal form against the basis.
+
+    The weak form gives the strong one's verdict on every input (see the
+    module docstring).  It stops at the first remainder step, so a non-basis
+    is rejected there, before a strong division could carry the remainder's
+    tail on into the bit breaker.
 
     So it proves that G is a basis of <G> and that the generators F lie in
     <G>, but not that <G> lies in <F>: over Qp(2), G = [x, y] passes for
@@ -512,14 +523,11 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
     """
     G = gb.elements
     order = gb.order
-    spoly = _integer_s_polynomial if G and G[0].field.integral else s_polynomial
     for f in generators:
         if f.is_zero():
             continue
-        r = normal_form(
-            f, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits
-        ).remainder
-        if not r.is_zero():
+        if normal_form(f, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits,
+                       weak=True)._r:
             return False
     lms = [leading_term(g, order)[1] for g in G]
     for j in range(len(G)):
@@ -527,12 +535,8 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
             pair = CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))
             if criterion_b1(pair):
                 continue
-            s = spoly(G[i], G[j], order)
-            if s.is_zero():
-                continue
-            r = normal_form(
-                s, G, order, max_steps=max_steps, max_coeff_bits=max_coeff_bits
-            ).remainder
-            if not r.is_zero():
+            s = s_polynomial(G[i], G[j], order)
+            if s and normal_form(s, G, order, max_steps=max_steps,
+                                 max_coeff_bits=max_coeff_bits, weak=True)._r:
                 return False
     return True

@@ -643,12 +643,25 @@ def _oracle_top_reduction(f, G, order, max_steps, max_coeff_bits):
     return q
 
 
+def fraction_s_polynomial(f, g, order):
+    """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g on the Fraction
+    polynomials: the package's earlier ``s_polynomial``."""
+    from valgb.polynomials import mono_div, mono_lcm
+    from valgb.weights import leading_term
+
+    _, lmf, lcf = leading_term(f, order)
+    _, lmg, lcg = leading_term(g, order)
+    lcm = mono_lcm(lmf, lmg)
+    return f.mono_mul(mono_div(lcm, lmf), lcg) - g.mono_mul(mono_div(lcm, lmg), lcf)
+
+
 def fraction_buchberger(generators, order, *, use_criteria=True,
                         max_steps=1_000_000, max_coeff_bits=None):
     """The package's earlier completion loop, kept as the reference for the
-    integer one over Q and Qp: Fraction S-polynomials (``s_polynomial``),
-    the Fraction remainder of the package's division over Qp, and ``monic``.
-    Over Q the remainder is ``_oracle_top_reduction``'s weak normal form.
+    integer one over Q and Qp: Fraction S-polynomials
+    (``fraction_s_polynomial``), a weak normal form of each, and ``monic``.
+    Over Qp the remainder is the Fraction remainder of the package's division
+    with ``weak=True``; over Q it is ``_oracle_top_reduction``'s.
 
     Over Qp it interreduces the closed degrees as ``buchberger`` does, each
     degree by ``_oracle_reduced_degree``: before the first pair of degree d,
@@ -668,7 +681,7 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
 
     from valgb.division import normal_form
     from valgb.fields import QpField
-    from valgb.groebner import CriticalPair, criterion_b1, criterion_b2, monic, s_polynomial
+    from valgb.groebner import CriticalPair, criterion_b1, criterion_b2, monic
     from valgb.polynomials import mono_degree, mono_lcm
     from valgb.weights import leading_term
 
@@ -730,12 +743,12 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
                                     == _oracle_generic_dim(degrees, n, d)):
             stats["hilbert"] += 1
             continue
-        s = s_polynomial(G[i], G[j], order)
+        s = fraction_s_polynomial(G[i], G[j], order)
         if s.is_zero():
             r = s
         elif qp:
             r = normal_form(s, G, order, max_steps=max_steps,
-                            max_coeff_bits=max_coeff_bits).remainder
+                            max_coeff_bits=max_coeff_bits, weak=True).remainder
         else:
             r = _oracle_top_reduction(s, G, order, max_steps, max_coeff_bits)
         if r.is_zero():
@@ -751,16 +764,17 @@ def fraction_buchberger(generators, order, *, use_criteria=True,
 
 def fraction_is_basis_of(elements, generators, order, max_coeff_bits=None):
     """The package's earlier ``is_basis_of``: every generator and every S-pair
-    not skipped by criterion B1 divides to zero, with Fraction S-polynomials."""
+    not skipped by criterion B1 has a zero weak normal form, with Fraction
+    S-polynomials."""
     from functools import partial
 
     from valgb.division import normal_form as nf
-    from valgb.groebner import CriticalPair, criterion_b1, s_polynomial
+    from valgb.groebner import CriticalPair, criterion_b1
     from valgb.polynomials import mono_lcm
     from valgb.weights import leading_term
 
     G = list(elements)
-    normal_form = partial(nf, max_coeff_bits=max_coeff_bits)
+    normal_form = partial(nf, max_coeff_bits=max_coeff_bits, weak=True)
     if any(not normal_form(f, G, order).remainder.is_zero()
            for f in generators if not f.is_zero()):
         return False
@@ -769,7 +783,7 @@ def fraction_is_basis_of(elements, generators, order, max_coeff_bits=None):
         for i in range(j):
             if criterion_b1(CriticalPair(i, j, lms[i], lms[j], mono_lcm(lms[i], lms[j]))):
                 continue
-            s = s_polynomial(G[i], G[j], order)
+            s = fraction_s_polynomial(G[i], G[j], order)
             if not s.is_zero() and not normal_form(s, G, order).remainder.is_zero():
                 return False
     return True

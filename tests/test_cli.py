@@ -117,7 +117,7 @@ def test_gb_modpm_honours_max_coeff_bits(tmp_path, capsys):
     path = write(tmp_path, "w1.vgb", W1)
     assert main(["gb", path, "--max-coeff-bits", "50"]) == 2
     direct = capsys.readouterr()
-    assert "leading coefficient exceeded 50 bits after 13 steps" in direct.err
+    assert "leading coefficient exceeded 50 bits after 6 steps" in direct.err
     # the breaker reaches the verification and then the fallback run
     assert main(["gb", path, "--modpm", "16", "--max-coeff-bits", "50"]) == 2
     captured = capsys.readouterr()
@@ -193,20 +193,23 @@ def test_gb_on_cardinality_pair_ends_quickly(tmp_path, options):
 
 
 def test_initial_and_tropical_member_honour_max_coeff_bits(tmp_path, capsys):
+    # the seeded Qp(2) quadric family's n = 4 seed 2 (ROADMAP), which the
+    # weak normal forms of the loop do not rescue
     path = write(
         tmp_path,
         "blowup.vgb",
-        "field Qp(2)\nvars x,y,z\nweight -1,-1,-2\n"
-        "ideal: -8*x^3-x*y^2-6*y^3-3*z^3, -3*x^3+x^2*y+8*x*y^2-2*y*z^2, "
-        "x^2+4*x*z-8*y*z\n",
+        "field Qp(2)\nvars x1,x2,x3,x4\nweight -2,2,2,-1\n"
+        "ideal: -28*x1^2+9*x1*x2-32*x2*x3-4*x3^2+35*x3*x4-23*x4^2, "
+        "-32*x1^2-34*x2^2-33*x1*x3-8*x3^2+11*x2*x4-6*x4^2, "
+        "-49*x1^2+16*x2^2-11*x1*x3-9*x2*x3-26*x2*x4+40*x4^2\n",
     )
     for command in ("initial", "tropical-member"):
         t0 = time.perf_counter()
-        assert main([command, path, "--max-coeff-bits", "256"]) == 2
+        assert main([command, path, "--max-coeff-bits", "4096"]) == 2
         assert time.perf_counter() - t0 < 5.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "leading coefficient exceeded 256 bits after 37 steps" in captured.err
+        assert "leading coefficient exceeded 4096 bits after 13 steps" in captured.err
 
 
 def test_initial_and_tropical_member_on_cardinality_pair(tmp_path, capsys):
@@ -465,6 +468,13 @@ def test_gb_progress_flag(tmp_path, capsys):
     assert main(["gb", path, "--progress"]) == 0
     err = capsys.readouterr().err
     assert "pairs processed:" in err
+
+
+def test_gb_progress_reports_skipped_pairs(tmp_path, capsys):
+    # the one pair is skipped by B1 and never divided, yet it is reported
+    path = write(tmp_path, "coprime.vgb", "field Q\nvars x,y\nideal: x^2, y^2\n")
+    assert main(["gb", path, "--progress"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["pairs processed: 1, remaining: 0"]
 
 
 def test_initial_over_qt_prints_rationals(tmp_path, capsys):

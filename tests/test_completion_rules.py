@@ -4,8 +4,9 @@
   skips a pair once the leading monomials fill its degree up to c_d, the
   count of generic forms of the generators' degrees.  A hook checks that
   every division it elides has a zero remainder.
-* Weak normal forms over the trivially valued fields Q and GF(p): the
-  division stops at the first leading term with no divisor.
+* Weak normal forms over every field: the division stops at the first
+  leading term with no divisor.  On a basis it takes the strong division's
+  steps, so ``is_basis_of`` gives the strong form's verdicts.
 """
 
 import inspect
@@ -17,6 +18,7 @@ import pytest
 from valgb import (
     GF,
     GREVLEX,
+    CoefficientBlowup,
     ModPmRing,
     Polynomial,
     QQ,
@@ -246,3 +248,30 @@ def test_completion_keeps_tails_and_reaches_the_reference_basis(field):
                 for g in buchberger_reference([to_oracle(g) for g in gens], p=p)}
         assert got == want, trial
     assert kept > 0
+
+
+def test_weak_and_strong_divisions_agree_on_bases():
+    # on a basis every remainder is zero, so the strong division never takes
+    # a remainder step and the weak one never stops early.  Some divisions of
+    # correct bases outgrow any small budget (the cardinality pairs ran for
+    # minutes); those must trip at the same step
+    def outcome(s, G, order, weak):
+        try:
+            result = normal_form(s, G, order, weak=weak, trace=True, max_steps=BUDGET,
+                                 max_coeff_bits=4096)
+        except CoefficientBlowup as exc:
+            return str(exc)
+        assert result.remainder.is_zero()
+        return [t.line() for t in result.trace]
+
+    pairs = tripped = 0
+    for label, gens, order in completion_suite():
+        G = reduce_basis(buchberger(gens, order)).elements
+        for j in range(len(G)):
+            for i in range(j):
+                s = s_polynomial(G[i], G[j], order)
+                weak = outcome(s, G, order, True)
+                assert weak == outcome(s, G, order, False), (label, i, j)
+                pairs += 1
+                tripped += isinstance(weak, str)
+    assert pairs > 700 and 0 < tripped < 10

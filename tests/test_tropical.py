@@ -197,11 +197,14 @@ def test_membership_padic():
 
 
 def test_membership_honours_max_coeff_bits():
-    F = polys(Qp(2), XYZ, "-8*x^3-x*y^2-6*y^3-3*z^3",
-              "-3*x^3+x^2*y+8*x*y^2-2*y*z^2", "x^2+4*x*z-8*y*z")
+    # the seeded Qp(2) quadric family's n = 4 seed 2 (ROADMAP)
+    F = polys(Qp(2), "x1,x2,x3,x4",
+              "-28*x1^2+9*x1*x2-32*x2*x3-4*x3^2+35*x3*x4-23*x4^2",
+              "-32*x1^2-34*x2^2-33*x1*x3-8*x3^2+11*x2*x4-6*x4^2",
+              "-49*x1^2+16*x2^2-11*x1*x3-9*x2*x3-26*x2*x4+40*x4^2")
     t0 = time.perf_counter()
-    with pytest.raises(CoefficientBlowup, match="exceeded 256 bits after 37 steps"):
-        in_tropical_variety(F, (-1, -1, -2), max_coeff_bits=256)
+    with pytest.raises(CoefficientBlowup, match="exceeded 4096 bits after 13 steps"):
+        in_tropical_variety(F, (-2, 2, 2, -1), max_coeff_bits=4096)
     assert time.perf_counter() - t0 < 5.0
 
 
