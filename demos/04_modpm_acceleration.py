@@ -7,7 +7,8 @@ ten-generator ideal in nine variables drives intermediate coefficients past
 any reasonable size if reduced naively, although the pair is known a priori
 to reduce to zero (its leading monomials are coprime).  Two remedies are
 shown: the B1/B2 skip criteria, and computing mod 2^m followed by an exact
-verified lift.
+lift, certified by the lift's pivots and Hilbert counts with no division
+over Qp.
 """
 
 import time
@@ -49,7 +50,7 @@ except CoefficientBlowup as exc:
 stats = {}
 t0 = time.perf_counter()
 lifted = gb_mod_pm(gens, order, stats=stats)
-print(f"mod 2^{stats['final_m']} with verified lift: {len(lifted.elements)} elements "
+print(f"mod 2^{stats['final_m']} with certified lift: {len(lifted.elements)} elements "
       f"in {time.perf_counter()-t0:.3f}s, retries {stats['retries']}")
 direct = reduce_basis(buchberger(gens, order))
 print("lift agrees with the direct reduced basis:", lifted.elements == direct.elements)

@@ -4,8 +4,9 @@ Supported coefficient fields: Q with a p-adic valuation, Q with the trivial
 valuation, and Q(t) with the t-adic valuation, plus Z/p^m as an acceleration
 ring.  The package provides the valuation-aware division algorithm with
 quotient certificates, the completion loop with skip criteria, mod-p^m
-computation with verified lifting, complexity bounds, tropical membership
-tests, and a basis-size comparison experiment.
+computation with a lifted basis certified by the lift and Hilbert counts,
+complexity bounds, tropical membership tests, and a basis-size comparison
+experiment.
 """
 
 from .fields import (

@@ -19,7 +19,7 @@ from .cardinality import GenericityError, cardinality_report, default_orders
 from .division import CoefficientBlowup, StepBudgetExceeded, normal_form
 from .fields import QpField
 from .groebner import buchberger, is_basis_of, reduce_basis
-from .lifting import gb_mod_pm
+from .lifting import _certified_by_lift, gb_mod_pm
 from .parsing import ProblemFile, parse_problem, parse_polynomial
 from .polynomials import poly_to_str
 from .tropical import contains_monomial, initial_ideal
@@ -72,9 +72,10 @@ def _cmd_gb(args) -> int:
             **limits,
         )
         if stats["fallback"]:
-            print(f"warning: mod-{stats['p']}^m pipeline failed verification after "
-                  f"{stats['retries']} retries; direct rational computation used",
-                  file=sys.stderr)
+            last = stats["failures"][-1]
+            print(f"warning: mod-{stats['p']}^m pipeline failed in the {last['stage']} "
+                  f"stage at m = {last['m']}, after {stats['retries']} retries; "
+                  "direct rational computation used", file=sys.stderr)
     else:
         progress = None
         if args.progress:
@@ -91,8 +92,11 @@ def _cmd_gb(args) -> int:
     for g in basis.elements:
         _print_poly(g, problem)
     if args.verify:
-        ok = is_basis_of(basis, problem.generators, max_steps=args.max_steps,
-                         max_coeff_bits=args.max_coeff_bits)
+        if problem.field.integral:  # Q and Qp: no valued division
+            ok = _certified_by_lift(basis, problem.generators)
+        else:
+            ok = is_basis_of(basis, problem.generators, max_steps=args.max_steps,
+                             max_coeff_bits=args.max_coeff_bits)
         print(f"verified: {'true' if ok else 'false'}")
         if not ok:
             return EXIT_BUDGET
@@ -225,23 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-steps", type=int, default=1_000_000,
                        help="division step budget (default 1e6)")
 
-    def common(p):
+    def common(p, bits_help="coefficient-size circuit breaker in bits"):
         p.add_argument("file", help="problem file")
         max_steps(p)
-        p.add_argument("--max-coeff-bits", type=int, default=None,
-                       help="coefficient-size circuit breaker in bits")
+        p.add_argument("--max-coeff-bits", type=int, default=None, help=bits_help)
 
     p_gb = sub.add_parser("gb", help="reduced Groebner basis")
-    common(p_gb)
+    common(p_gb, "coefficient-size circuit breaker in bits; with --modpm it bounds "
+                 "only the direct fallback")
     p_gb.add_argument("--no-criteria", action="store_true",
                       help="disable the S-pair skip criteria")
     p_gb.add_argument("--modpm", type=int, default=None, metavar="M",
-                      help="run through Z/p^M with verified lifting")
+                      help="run through Z/p^M, lifting the basis and certifying it "
+                           "by Hilbert counts")
     p_gb.add_argument("--retry-budget", type=int, default=None,
                       help="mod-p^m retry doublings, with --modpm (default 5)")
     p_gb.add_argument("--verify", action="store_true",
-                      help="re-check that the result is a Groebner basis whose ideal "
-                           "contains the generators (not the converse)")
+                      help="re-check the result: over Q and Qp, rebuild it by the lift "
+                           "and certify it by Hilbert counts; otherwise check that it "
+                           "is a Groebner basis whose ideal contains the generators")
     p_gb.add_argument("--progress", action="store_true",
                       help="report pair progress on stderr (not with --modpm)")
     p_gb.set_defaults(func=_cmd_gb)

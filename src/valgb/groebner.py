@@ -183,7 +183,7 @@ def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
     every coefficient carries at least m minus a bounded number of p-powers,
     so stripping would promote pure truncation noise to a fake basis element.
     Anything with content at m/2 or above is treated as a reduction to zero;
-    false zeros are caught by the rational verification and a larger m.
+    false zeros are caught by the lift or its certificate and a larger m.
     """
     ring = f.field
     s = min(ring.val(c) for c in f.terms.values())
@@ -515,11 +515,12 @@ def is_basis_of(gb: GroebnerBasis, generators: list, *,
 
     So it proves that G is a basis of <G> and that the generators F lie in
     <G>, but not that <G> lies in <F>: over Qp(2), G = [x, y] passes for
-    F = [x].  Its callers meet that half by construction: ``gb_mod_pm``'s
-    lifted rows are combinations of multiples of F, and ``valgb gb
-    --verify`` checks the basis the CLI itself computed.  For the same
-    reason it never uses the Hilbert skip of ``buchberger``, whose counts
-    need <G> = <F>.  Every S-pair not skipped by B1 is divided.
+    F = [x].  So it never uses the Hilbert skip of ``buchberger``, whose
+    counts need <G> = <F>; every S-pair not skipped by B1 is divided.
+    ``valgb gb --verify`` calls it over Q(t), on the basis the CLI itself
+    computed.  Over Q and Qp the CLI certifies by the lift instead
+    (``lifting._certified_by_lift``), which shows <G> = <F> and divides
+    nothing.
     """
     G = gb.elements
     order = gb.order

@@ -1,5 +1,5 @@
 """Hilbert dimensions, basis reconstruction from an initial ideal, and the
-mod-p^m acceleration with verified lifting.
+mod-p^m acceleration, certified by the lift and Hilbert counts.
 
 Working over Z/p^m tames the coefficient blow-up of exact rational runs:
 substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
@@ -11,9 +11,23 @@ row reduces all the generators' multiples of each degree as primitive
 integer rows and builds Fractions only for the rows it returns.  It reads
 the RREF with the routine that gives ``reduce_basis`` its reduced bases over
 every field; only the rows differ, since the generators are not a basis.  It
-fails loudly when m was too small, so the whole pipeline verifies over Q and
-retries with doubled m.  The reconstruction takes Q and Qp generators only;
-Hilbert dimensions take any field.
+fails loudly when m was too small.
+
+The lifted basis is then certified without valued division (Traverso,
+"Hilbert functions and the Buchberger algorithm", 1996).  Each lifted
+element lies in I = <F>, so once its leading monomial is the claimed one,
+the claimed monomial ideal C lies in the leading ideal of I, and
+dim C_d <= dim I_d in every degree d.  Where the two are equal, C_d is the
+whole leading ideal in degree d, and no S-polynomial of that degree can
+leave a nonzero remainder.  The counts are checked at every generator
+degree and at the lcm degree of every pair the coprime criterion does not
+skip.  At a lift degree they are equal by construction: the lift's pivots
+are exactly C_d among all multiples of F.  Elsewhere dim I_d is bounded by
+c_d, the count of r <= n generic forms (``hilbert.generic_dims``), or read
+from one grevlex completion over the trivially valued Q.  A mismatch, like
+an inconsistent lift, means m was too small: the pipeline retries with
+doubled m.  The reconstruction takes Q and Qp generators only; Hilbert
+dimensions take any field.
 """
 
 from __future__ import annotations
@@ -22,12 +36,11 @@ from math import gcd
 
 from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
 from .fields import ModPmRing, QQ, QpField, padic_valuation
-from .hilbert import monomial_ideal_dim
+from .hilbert import generic_dims, monomial_ideal_dim
 from .groebner import (
     GroebnerBasis,
     _reduced_rows,
     buchberger,
-    is_basis_of,
     minimal_generators,
     reduce_basis,
     sort_basis,
@@ -38,6 +51,7 @@ from .polynomials import (
     compositions,
     mono_degree,
     mono_divides,
+    mono_lcm,
 )
 from .weights import WeightedOrder, weight_dot
 
@@ -75,11 +89,16 @@ def hilbert_dim(F: list, d: int) -> int:
     F = [f for f in F if not f.is_zero()]
     if not F:
         return 0
+    return monomial_ideal_dim(_grevlex_leading_ideal(F), F[0].nvars, d)
+
+
+def _grevlex_leading_ideal(F: list) -> list:
+    """The leading monomials of one grevlex basis of <F> with weight zero,
+    over the trivially valued Q when F is over Q or Qp."""
     field, nvars = _field_and_nvars(F)
     if field.integral:
         F = [Polynomial(QQ, nvars, f.terms, _clean=True) for f in F]
-    lms = buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
-    return monomial_ideal_dim(lms, nvars, d)
+    return buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
 
 
 def lift_groebner(
@@ -138,6 +157,63 @@ def lift_groebner(
     return GroebnerBasis(sort_basis(out, order), order)
 
 
+def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis) -> str | None:
+    """Why ``lifted``, lifted from the claimed minimal generators C of the
+    initial ideal of <F>, is not certified as a basis of <F>; None when it is.
+
+    Every lifted element lies in I = <F>.  Their leading monomials must be
+    exactly C, which puts C inside the leading ideal of I.  Then
+    dim C_d = dim I_d is checked at every generator degree and at the lcm
+    degree of every pair of C that the coprime criterion does not skip.  A
+    lift degree passes by construction: the lift's pivots among all the
+    degree-d multiples of F are exactly C_d.  Elsewhere, with at most n
+    generators, dim C_d = c_d suffices (c_d bounds dim I_d); otherwise
+    dim I_d is read from one grevlex completion of F over the trivially
+    valued Q, built at most once.  Equal counts make C_d the whole leading
+    ideal in degree d, so no S-pair there leaves a nonzero remainder, and at
+    a generator degree the lifted elements span I_d.  No valued arithmetic
+    is done; an exception raised here is a fault, not a failed attempt.
+    """
+    if sorted(lifted.leading_monomials()) != sorted(claimed):
+        return "a lifted leading monomial differs from the claimed initial ideal"
+    nvars = lifted.order.nvars
+    generator_degrees = [f.homogeneous_degree() for f in F]
+    degrees = set(generator_degrees)
+    for i, s in enumerate(claimed):
+        for t in claimed[:i]:
+            if any(a and b for a, b in zip(s, t)):  # not skipped by B1
+                degrees.add(mono_degree(mono_lcm(s, t)))
+    degrees -= {mono_degree(t) for t in claimed}
+    generic = generic_dims(nvars, generator_degrees) if len(F) <= nvars else None
+    ideal_lms = None
+    for d in sorted(degrees):
+        count = monomial_ideal_dim(claimed, nvars, d)
+        if generic is not None and count == generic(d):
+            continue
+        if ideal_lms is None:
+            ideal_lms = _grevlex_leading_ideal(F)
+        expected = monomial_ideal_dim(ideal_lms, nvars, d)
+        if count != expected:
+            return (f"the claimed initial ideal has {count} monomials in degree "
+                    f"{d}, where dim I_d = {expected}")
+    return None
+
+
+def _certified_by_lift(basis: GroebnerBasis, F: list) -> bool:
+    """Whether a reduced basis over Q or Qp is the reduced basis of <F>: the
+    lift rebuilds it from its own leading monomials, and the certificate
+    accepts it.  Unlike ``is_basis_of`` this shows <basis> = <F>, and it
+    does no valued division."""
+    F = [f for f in F if not f.is_zero()]
+    claimed = minimal_generators(basis.leading_monomials())
+    try:
+        lifted = lift_groebner(F, basis.order, claimed)
+    except LiftInconsistent:
+        return False
+    return (lifted.elements == basis.elements
+            and _certificate_failure(F, claimed, lifted) is None)
+
+
 def _substitute_weights(f: Polynomial, weights, p: int) -> dict:
     """The primitive integer term dict of f under x_i -> p^(w_i) x_i, which
     multiplies each coefficient by p^(w . u)."""
@@ -160,17 +236,23 @@ def gb_mod_pm(
     max_coeff_bits: int | None = 1_000_000,
     stats: dict | None = None,
 ) -> GroebnerBasis:
-    """Reduced basis of a p-adic ideal computed through Z/p^m with lifting.
+    """Reduced basis of a p-adic ideal computed through Z/p^m with lifting,
+    certified by the lift and Hilbert counts.
 
-    On any inconsistency (singular reconstruction block or failed verification
-    over Q) the modulus exponent is doubled, up to ``retry_budget`` times
-    (a negative budget raises ``ValueError``);
+    An attempt at m fails when the modular run or the lift fails (a
+    singular reconstruction block, inexact division, an exhausted step
+    budget) or when the certificate rejects the lifted basis
+    (``_certificate_failure``).  Each failure doubles the modulus exponent,
+    up to ``retry_budget`` times (a negative budget raises ``ValueError``);
     after that the computation falls back to the direct rational run.  The
-    verification is exact, so in it only ``StepBudgetExceeded`` and
-    ``CoefficientBlowup`` count as a failed attempt; anything else it raises
-    propagates.
-    ``stats`` receives p, the exponents tried (``m_values``), ``retries``
-    and ``fallback``.
+    certificate is exact and does no valued arithmetic, so an exception
+    raised in it is a fault and propagates.  ``max_steps`` bounds the
+    modular run and the fallback; ``max_coeff_bits`` bounds only the
+    fallback, since nothing else divides over Qp.
+    ``stats`` receives p, the exponents tried (``m_values``), ``retries``,
+    ``fallback``, ``final_m`` on success and ``failures``: one dict per
+    failed attempt with its ``m``, its ``stage`` (``modular``, ``lift`` or
+    ``certificate``) and the ``message``.
     """
     if retry_budget < 0:
         raise ValueError("retry budget must be nonnegative")
@@ -194,12 +276,13 @@ def gb_mod_pm(
     if m is None:
         m = max(16, 2 * (1 + max_val))
 
-    info = {"p": p, "m_values": [], "retries": 0, "fallback": False}
+    info = {"p": p, "m_values": [], "retries": 0, "fallback": False, "failures": []}
     for _ in range(retry_budget + 1):
         info["m_values"].append(m)
         info["retries"] = len(info["m_values"]) - 1
         ring = ModPmRing(p, m)
         mapped = [Polynomial(ring, nvars, terms) for terms in substituted]
+        stage = "modular"
         try:
             modular = buchberger(
                 mapped,
@@ -207,28 +290,23 @@ def gb_mod_pm(
                 use_criteria=use_criteria,
                 max_steps=max_steps,
             )
+            stage = "lift"
             claimed = minimal_generators(modular.leading_monomials())
             lifted = lift_groebner(F, order, claimed)
         except (ValueError, AssertionError, ZeroDivisionError,
-                StepBudgetExceeded, CoefficientBlowup):
+                StepBudgetExceeded, CoefficientBlowup) as exc:
             # singular lift block, inexact division or violated progress
             # invariant mod p^m: symptoms of a too-small modulus exponent
-            pass
+            failure = f"{type(exc).__name__}: {exc}"
         else:
-            # the verification is exact rational arithmetic that does not
-            # depend on m, so only an exhausted budget counts as a failed
-            # attempt; any other exception there is a fault and propagates
-            try:
-                verified = is_basis_of(
-                    lifted, F, max_steps=max_steps, max_coeff_bits=max_coeff_bits
-                )
-            except (StepBudgetExceeded, CoefficientBlowup):
-                verified = False
-            if verified:
+            stage = "certificate"
+            failure = _certificate_failure(F, claimed, lifted)
+            if failure is None:
                 info["final_m"] = m
                 if stats is not None:
                     stats.update(info)
                 return lifted
+        info["failures"].append({"m": m, "stage": stage, "message": failure})
         m *= 2
 
     info["fallback"] = True

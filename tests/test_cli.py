@@ -118,14 +118,23 @@ def test_gb_modpm_honours_max_coeff_bits(tmp_path, capsys):
     assert main(["gb", path, "--max-coeff-bits", "50"]) == 2
     direct = capsys.readouterr()
     assert "leading coefficient exceeded 50 bits after 6 steps" in direct.err
-    # the breaker reaches the verification and then the fallback run
-    assert main(["gb", path, "--modpm", "16", "--max-coeff-bits", "50"]) == 2
+    # the certified modular path divides nothing over Qp, so the breaker
+    # does not reach it
+    assert main(["gb", path, "--modpm", "16", "--max-coeff-bits", "50"]) == 0
+    certified = capsys.readouterr()
+    assert len(certified.out.splitlines()) == 6 and certified.err == ""
+    # the lift fails at m = 4, so the budget reaches the direct fallback
+    assert main(["gb", path, "--modpm", "4", "--retry-budget", "0",
+                 "--max-coeff-bits", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == direct.err
-    # without the option gb_mod_pm keeps its own default budget
-    assert main(["gb", path, "--modpm", "16"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    # without the option the fallback runs unbounded and finishes
+    assert main(["gb", path, "--modpm", "4", "--retry-budget", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == certified.out
+    assert captured.err == ("warning: mod-2^m pipeline failed in the lift stage at "
+                            "m = 4, after 0 retries; direct rational computation used\n")
 
 
 def test_gb_modpm_negative_retry_budget_is_input_error(tmp_path, capsys):

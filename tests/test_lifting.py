@@ -405,30 +405,36 @@ def test_gb_mod_pm_fallback_counts_retries():
 
 
 def test_gb_mod_pm_verification_faults_propagate(monkeypatch):
-    # the rational verification is exact: a fault in it is not a too-small
-    # modulus, so it must not become retries and a fallback
+    # the certificate does no valued arithmetic: a fault in it is not a
+    # too-small modulus, so it must not become retries and a fallback
     import valgb.lifting as lifting
-    from valgb.division import CoefficientBlowup
 
-    F = polys(Qp(2), "x,y", "x+2y", "y+2x")
+    # two quadrics in three variables: degree 3 holds a non-coprime pair's
+    # lcm and is no lift degree, so the certificate reads c_3 there
+    F = polys(Qp(2), XYZ, "x^2+2y*z", "x*y+4z^2")
 
     def broken(*args, **kwargs):
         raise AssertionError("broken invariant")
 
-    monkeypatch.setattr(lifting, "is_basis_of", broken)
+    monkeypatch.setattr(lifting, "generic_dims", broken)
     stats = {}
     with pytest.raises(AssertionError, match="broken invariant"):
-        gb_mod_pm(F, zero_order(2), m=8, stats=stats)
+        gb_mod_pm(F, zero_order(3), m=8, stats=stats)
     assert stats == {}
+    monkeypatch.undo()
 
-    # an exhausted budget in the verification still counts as a failed attempt
-    def tripped(*args, **kwargs):
-        raise CoefficientBlowup("leading coefficient exceeded 1 bits after 0 steps")
+    # a mismatch counts as a failed attempt, retries and then falls back
+    def mismatch(*args, **kwargs):
+        return "count mismatch"
 
-    monkeypatch.setattr(lifting, "is_basis_of", tripped)
-    basis = gb_mod_pm(F, zero_order(2), m=8, retry_budget=1, stats=stats)
+    monkeypatch.setattr(lifting, "_certificate_failure", mismatch)
+    basis = gb_mod_pm(F, zero_order(3), m=8, retry_budget=1, stats=stats)
     assert stats["fallback"] and stats["m_values"] == [8, 16]
-    assert basis.elements == polys(Qp(2), "x,y", "x", "y")
+    assert stats["failures"] == [
+        {"m": 8, "stage": "certificate", "message": "count mismatch"},
+        {"m": 16, "stage": "certificate", "message": "count mismatch"},
+    ]
+    assert basis.elements == reduce_basis(buchberger(F, zero_order(3))).elements
 
 
 @pytest.mark.parametrize("other", [(QQ, XYZ, "x*y"), (Qp(2), "x,y", "x*y")])

@@ -6,7 +6,10 @@ grevlex.  With strong normal forms in the loop, the direct path tripped a
 20000-bit budget on 17 of 100 seeds at n = 3 and on 19 of 20 at n = 4.  With
 weak ones every n = 3 seed finishes, and each basis is certified here
 without the loop: the lift rebuilds it from its own leading monomials, and
-their monomial ideal has the Hilbert function of the input.
+their monomial ideal has the Hilbert function of the input.  ``gb_mod_pm``
+certifies its lifted bases the same way, so it finishes every seed without
+the direct fallback, the n = 4 seeds 2 and 5 where direct still trips
+included.
 """
 
 import random
@@ -21,6 +24,7 @@ from valgb import (
     Qp,
     WeightedOrder,
     buchberger,
+    gb_mod_pm,
     parse_problem,
     reduce_basis,
 )
@@ -87,6 +91,50 @@ def test_pinned_quadrics_finish_on_the_cli(tmp_path, capsys, name, command):
     assert time.process_time() - t0 < 3.0
     captured = capsys.readouterr()
     assert captured.out and not captured.err
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("options", [["--modpm", "16"], ["--verify"],
+                                     ["--verify", "--max-coeff-bits", str(BUDGET)]])
+def test_pinned_quadrics_are_certified_on_the_cli(tmp_path, capsys, name, options):
+    # once the modular path trips its verification at every m, and --verify
+    # divides the S-pairs of a correct basis past any budget; the
+    # certificate divides nothing over Qp
+    path = write(tmp_path, f"{name}.vgb", PINNED[name])
+    assert main(["gb", path]) == 0
+    direct = capsys.readouterr().out
+    t0 = time.process_time()
+    assert main(["gb", path, *options]) == 0
+    assert time.process_time() - t0 < 3.0
+    captured = capsys.readouterr()
+    assert not captured.err
+    expected = direct + "verified: true\n" if "--verify" in options else direct
+    assert captured.out == expected
+
+
+@pytest.mark.parametrize("n, seeds", [(3, range(100)), (4, range(20))])
+def test_family_through_gb_mod_pm(n, seeds):
+    # no seed falls back, and each basis equals the direct one wherever the
+    # direct path finishes under the budget; where it trips, the basis is
+    # certified as test_quadric_bases_are_certified_without_the_loop does
+    tripped = []
+    for seed in seeds:
+        gens, order = quadrics(n, seed)
+        stats = {}
+        basis = gb_mod_pm(gens, order, stats=stats)
+        assert not stats["fallback"], seed
+        try:
+            direct = reduce_basis(buchberger(gens, order, max_coeff_bits=BUDGET))
+        except CoefficientBlowup:
+            tripped.append(seed)
+            lms = basis.leading_monomials()
+            assert lift_groebner(gens, order, lms).elements == basis.elements
+            top = max(g.degree() for g in basis.elements) + 2
+            for d in range(top + 1):
+                assert monomial_ideal_dim(lms, n, d) == hilbert_dim(gens, d), (seed, d)
+        else:
+            assert basis.elements == direct.elements, seed
+    assert tripped == ([] if n == 3 else [2, 5])
 
 
 # the n = 3 seeds whose direct completion tripped the budget under strong forms
