@@ -28,10 +28,11 @@ u <- alpha*u - beta*u_k and no scalar is inverted (u stays a unit because
 beta*u_k/(alpha*u) has positive valuation).  The scalars and the upkeep
 depend on the domain:
 
-* over Q and Qp the dividend and the divisors are made primitive integer
-  polynomials once, and the whole state (u, q, r) is held in integers:
-  alpha = c/d and beta = a/d with d = gcd(a, c), and after each step the
-  state is divided by its joint content, the gcd of u and of every
+* over Q and Qp the dividend and the divisors are read as their primitive
+  integer forms (memoized once, or already held by the loop's
+  integer-backed elements), and the whole state (u, q, r) is held in
+  integers: alpha = c/d and beta = a/d with d = gcd(a, c), and after each
+  step the state is divided by its joint content, the gcd of u and of every
   coefficient of q and r, so a step does no Fraction arithmetic (only the
   trace and a breaker test near its budget build one);
 * over Z/p^m, alpha = 1 and beta = a/c, and after a recorded-state step the
@@ -45,7 +46,8 @@ inverts 1 - lambda*u_k/u at every recorded step would hold, and the steps,
 the trace and the remainder are exactly that division's.  The quotients h_i
 are not carried in the loop: it keeps one short record per step.  Both the
 remainder (divided by u) and the quotients are built from the final state
-the first time ``DivisionResult`` is asked for them.
+the first time ``DivisionResult`` is asked for them, and so is 1/u; the
+completion loop reads only the integer remainder u*r.
 
 A strong normal form divides every term it can: no term of r is divisible
 by a leading monomial of the divisors.  A weak one (``weak=True``) stops at
@@ -118,25 +120,27 @@ class DivisionResult:
     """Certificate f = sum(quotients[i] * divisors[i]) + remainder.
 
     ``remainder`` and ``quotients`` are built from the division's final state
-    and step record the first time each is read; ``_r`` is u*remainder in
-    the loop's scalars (integers over Q and Qp), empty iff the remainder is.
+    and step record the first time each is read, and so is the 1/u they
+    are scaled by; ``_r`` is u*remainder in the loop's scalars (integers
+    over Q and Qp), empty iff the remainder is.
     """
 
     step_count: int
     trace: list | None = None
     _r: dict = field(default=None, repr=False)
-    _remainder: object = field(default=None, repr=False)
-    _replay: object = field(default=None, repr=False)
+    _remainder: object = field(default=None, repr=False)  # 1/u -> remainder
+    _replay: object = field(default=None, repr=False)  # 1/u -> quotients
+    _inverse: object = field(default=None, repr=False)  # () -> 1/u
 
     @cached_property
     def remainder(self) -> Polynomial:
-        r = self._remainder()
+        r = self._remainder(self._inverse())
         self._remainder = None
         return r
 
     @cached_property
     def quotients(self) -> list:
-        h = self._replay()
+        h = self._replay(self._inverse())
         self._replay = None
         return h
 
@@ -157,30 +161,21 @@ class _Divisor:
 
 def primitive_factor(f: Polynomial) -> Fraction:
     """The positive s that makes s*f a primitive integer polynomial (f over Q)."""
-    cs = f.terms.values()
-    return Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
+    return Fraction(*_integer_terms(f)[1:])
 
 
 def _integer_terms(f: Polynomial) -> tuple:
-    """(s*f as an integer term dict, s) for s = primitive_factor(f), memoized
-    on the (immutable) polynomial."""
+    """(s*f as a primitive integer term dict, num, den) for the positive
+    s = num/den in lowest terms, memoized on the (immutable) polynomial; an
+    integer-backed polynomial holds it from the start."""
     cached = f._cache.get("integer-terms")
     if cached is None:
-        s = primitive_factor(f)
-        L, G = s.numerator, s.denominator
+        cs = f.terms.values()
+        # coprime: a prime dividing every numerator divides no denominator
+        L, G = lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))
         terms = {m: c.numerator * L // (c.denominator * G) for m, c in f.terms.items()}
-        cached = f._cache["integer-terms"] = (terms, s)
+        cached = f._cache["integer-terms"] = (terms, L, G)
     return cached
-
-
-def _with_integer_terms(fld, n: int, terms: dict, s: Fraction) -> Polynomial:
-    """The polynomial terms/s over Q or Qp, for a primitive integer term dict
-    and s > 0, with (terms, s) seeded as its ``_integer_terms`` memo."""
-    num, den = s.numerator, s.denominator
-    f = Polynomial(fld, n, {m: Fraction(c * den, num) for m, c in terms.items()},
-                   _clean=True)
-    f._cache["integer-terms"] = (terms, s)
-    return f
 
 
 def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
@@ -203,15 +198,15 @@ def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
     return out
 
 
-def _replay_quotients(fld, n: int, factors: list, inv_u, record: list) -> list:
+def _replay_quotients(fld, n: int, factors: list, record: list, inv_u) -> list:
     """The quotients h_i of f, rebuilt from the loop's step record.
 
     Record entries: None when the current state joins the recorded states;
     (k, xv, alpha, beta, scale) for h <- scale*(alpha*h + beta*x^xv*e_k)
     against original divisor k >= 0, or h <- scale*(alpha*h - beta*h_~k)
     against recorded state ~k, where alpha and scale None stand for 1.
-    Finally h_i is multiplied by factors[i]*inv_u (a None factor stands
-    for 1, and so does a None inv_u).
+    Finally h_i is multiplied by s_i*inv_u for factors[i] = (num, den) and
+    s_i = num/den (a None num stands for s_i = 1, and a None inv_u for 1).
     """
     h = [Polynomial.zero(fld, n)] * len(factors)
     states = []
@@ -228,7 +223,8 @@ def _replay_quotients(fld, n: int, factors: list, inv_u, record: list) -> list:
             h = [a - b.scale(beta) for a, b in zip(h, states[~k])]
         if scale is not None:
             h = [a.scale(scale) for a in h]
-    factors = [inv_u if s is None else s * inv_u for s in factors]
+    factors = [inv_u if num is None else Fraction(num, den) * inv_u
+               for num, den in factors]
     return [a if c is None else a.scale(c) for a, c in zip(h, factors)]
 
 
@@ -268,7 +264,7 @@ def normal_form(
     mod = fld.modulus
 
     # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
-    in_loop_scalars = _integer_terms if fld.integral else lambda g: (g.terms, None)
+    in_loop_scalars = _integer_terms if fld.integral else lambda g: (g.terms, None, None)
     originals: list[_Divisor] = []
     factors = []
     for i, g in enumerate(divisors):
@@ -279,15 +275,15 @@ def normal_form(
         if not g.is_homogeneous():
             raise ValueError(f"divisor {i} is not homogeneous")
         _, lm, _ = leading_term(g, order)
-        terms, s = in_loop_scalars(g)
+        terms, num, den = in_loop_scalars(g)
         originals.append(_Divisor(terms, lm, terms[lm], i))
-        factors.append(s)
+        factors.append((num, den))
 
     one = fld.one()
     val = fld.val
     if fld.integral:
         # the state is held for the dividend s_f*f, so the unit is U*s_f
-        Q, s_f = in_loop_scalars(f) if f.terms else ({}, Fraction(1))
+        Q, num_f, den_f = in_loop_scalars(f) if f else ({}, 1, 1)
         U = 1
 
         def ratio(a, c):
@@ -305,10 +301,10 @@ def normal_form(
                     {m: c // g for m, c in R.items()}, Fraction(1, g))
 
         def inverse_unit(U):
-            return Fraction(s_f.denominator, U * s_f.numerator)
+            return Fraction(den_f, U * num_f)
 
         def blown(a, U):
-            num, den = a * s_f.denominator, U * s_f.numerator
+            num, den = a * den_f, U * num_f
             # reducing num/den only shrinks it: skip the gcd when in budget
             return (num.bit_length() + den.bit_length() > max_coeff_bits
                     and fld.bits(Fraction(num, den)) > max_coeff_bits)
@@ -437,8 +433,7 @@ def normal_form(
             )
         steps += 1
 
-    inv_u = inverse_unit(U)
     return DivisionResult(
-        steps, trace_log, R, partial(unscaled, R, inv_u),
-        partial(_replay_quotients, fld, n, factors, inv_u, record),
+        steps, trace_log, R, partial(unscaled, R),
+        partial(_replay_quotients, fld, n, factors, record), partial(inverse_unit, U),
     )

@@ -619,11 +619,12 @@ class QpField(_FractionScalars, _OperatorField):
         self.label = f"Qp({p})"
 
     def val(self, a):
+        if type(a) is int:  # the division loop's integer scalars
+            return padic_valuation(a, self.p) if a else INF
         if a == 0:
             return INF
-        return padic_valuation(a.numerator, self.p) - padic_valuation(
-            a.denominator, self.p
-        )
+        v, d = padic_valuation(a.numerator, self.p), a.denominator
+        return v if d == 1 else v - padic_valuation(d, self.p)
 
     def phi(self, w):
         return Fraction(self.p) ** w

@@ -8,11 +8,15 @@ S-polynomial of two elements divides to zero against G.  The reduced basis
 Valued division reduces S-polynomials and verifies bases.  Over Q and Qp
 the completion loop and ``is_basis_of`` work on integers: each element is
 read as its memoized primitive integer form, ``s_polynomial`` forms each
-S-polynomial on those forms and hands it to the division with its own
-integer form already memoized, and a new element is made monic once, from
-the division's integer remainder.  The ring picks how a new element is
-normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m (m > 1) first
-strips its p-content and reads truncation noise as zero.
+S-polynomial on those forms and hands it to the division as an
+integer-backed polynomial (``polynomials._IntegerBacked``), and a new
+element is made monic once, from the division's integer remainder, as an
+integer-backed polynomial whose leading data (W = w.lm, lm, lc = 1) is
+seeded.  So the loop reads emptiness, degrees, leading data and equality
+off integers, and builds no Fraction unless a caller reads an element's
+terms.  The ring picks how a new element is normalized: Q(t) and GF(p)
+scale it to be monic, and Z/p^m (m > 1) first strips its p-content and
+reads truncation noise as zero.
 
 One normal-form rule serves every field.  Buchberger's criterion reads only
 whether a remainder is zero and, if not, its leading monomial, so the loop
@@ -53,7 +57,9 @@ The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
 Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
 its entries are ratios of minors, and on rows of field scalars over GF(p)
-and Q(t).  The lift of ``lifting.gb_mod_pm`` reads its rows with the same
+and Q(t).  Over Q and Qp each returned row is integer-backed, with its
+leading data seeded once a scan of its integers confirms the leading
+monomial.  The lift of ``lifting.gb_mod_pm`` reads its rows with the same
 routine.
 """
 
@@ -61,16 +67,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd
 
-from .division import _combine, _integer_terms, _with_integer_terms, normal_form
+from .division import _combine, _integer_terms, normal_form
 from .fields import INF
 from .hilbert import generic_dims, multiples
 from .linalg import rref
 from .polynomials import (
     Monomial,
     Polynomial,
+    _IntegerBacked,
     minimal_generators,
     mono_degree,
     mono_divides,
@@ -114,7 +120,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g, computed exactly.
 
     Over Q and Qp it is formed on the memoized primitive integer forms of f
-    and g and returned with its own integer form seeded."""
+    and g and returned integer-backed."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     _, lmf, lcf = leading_term(f, order)
@@ -123,7 +129,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
     if not f.field.integral:
         return f.mono_mul(xf, lcg) - g.mono_mul(xg, lcf)
-    (F, sf), (G, sg) = _integer_terms(f), _integer_terms(g)
+    (F, nf, df), (G, ng, dg) = _integer_terms(f), _integer_terms(g)
     a, b = F[lmf], G[lmg]
     d = gcd(a, b)
     # (b/d)*x^xf*F - (a/d)*x^xg*G = (sf*sg/d)*S, as F = sf*f and a = sf*lc(f)
@@ -132,19 +138,28 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     if not S:
         return Polynomial.zero(f.field, f.nvars)
     c = gcd(*S.values())
-    return _with_integer_terms(f.field, f.nvars, {m: v // c for m, v in S.items()},
-                               sf * sg / (d * c))
+    num, den = nf * ng, df * dg * d * c  # the scale sf*sg/(d*c)
+    e = gcd(num, den)
+    return _IntegerBacked(f.field, f.nvars, {m: v // c for m, v in S.items()},
+                          num // e, den // e)
+
+
+def _monic(fld, n: int, terms: dict, lm: Monomial, order: WeightedOrder) -> Polynomial:
+    """terms/terms[lm], integer-backed, for a primitive integer term dict
+    whose leading monomial under the order is lm and whose entry there is
+    positive; its leading data (W = w.lm, lm, lc = 1) is seeded."""
+    f = _IntegerBacked(fld, n, terms, terms[lm], 1)
+    f._cache[order] = (order._ranks[lm][0], lm, fld.one())
+    return f
 
 
 def _monic_from_integers(fld, n: int, terms: dict, order: WeightedOrder) -> Polynomial:
-    """The monic multiple of a nonzero integer term dict over Q or Qp, with
-    its integer form seeded."""
+    """The monic multiple of a nonzero integer term dict over Q or Qp."""
     _, lm = _leading(terms, fld, order)
     c = gcd(*terms.values())
     if terms[lm] < 0:
         c = -c
-    terms = {m: v // c for m, v in terms.items()}
-    return _with_integer_terms(fld, n, terms, Fraction(terms[lm]))
+    return _monic(fld, n, {m: v // c for m, v in terms.items()}, lm, order)
 
 
 def criterion_b1(pair: CriticalPair) -> bool:
@@ -320,7 +335,7 @@ def buchberger(
         closed_lms = [lms[k] for k in closed]
         kept = [G[k] for k in closed if mono_degree(lms[k]) < reduced_below]
         kept += _reduce_by_elimination([G[k] for k in closed], closed_lms,
-                                       minimal_generators(closed_lms), reduced_below)
+                                       minimal_generators(closed_lms), order, reduced_below)
         G[:] = kept + [g for g, lm in zip(G, lms) if mono_degree(lm) >= d]
         lms[:] = [leading_term(g, order)[1] for g in G]
         reduced_below = d
@@ -376,7 +391,8 @@ def sort_basis(elements: list, order: WeightedOrder) -> list:
     return out
 
 
-def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
+def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list,
+                  order: WeightedOrder):
     """The reduced element of each target monomial, read off the RREF of
     term-dict rows whose columns put the block monomials first.
 
@@ -384,9 +400,11 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
     (``linalg.rref`` takes the row operation from the field).  Returns None
     unless the pivots are exactly the block; otherwise row t of the RREF,
     divided by its pivot entry, is the element for target t (the targets
-    lie in the block), over Q and Qp with its integer form seeded.  The RREF
-    is unique, so neither the row order nor the order of the columns within
-    and after the block matters.
+    lie in the block).  Over Q and Qp it is integer-backed, and its leading
+    data under the order is seeded when a scan of the row confirms t as its
+    leading monomial (the lift's certificate reads it, so it is never
+    assumed).  The RREF is unique, so neither the row order nor the order
+    of the columns within and after the block matters.
     """
     index = {m: i for i, m in enumerate(block)}
     for terms in rows:
@@ -408,13 +426,17 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list):
         row = reduced[index[t]]
         terms = {columns[c]: v for c, v in row.items()}
         if field.integral:  # a primitive row with a positive pivot entry
-            out.append(_with_integer_terms(field, nvars, terms, Fraction(terms[t])))
+            if _leading(terms, field, order)[1] == t:
+                out.append(_monic(field, nvars, terms, t, order))
+            else:  # a wrong claim of the lift, which its certificate reads
+                out.append(_IntegerBacked(field, nvars, terms, terms[t], 1))
         else:  # the pivot entry is already one
             out.append(Polynomial(field, nvars, terms, _clean=True))
     return out
 
 
-def _reduce_by_elimination(elements: list, lms: list, targets: list, lowest: int = 0) -> list:
+def _reduce_by_elimination(elements: list, lms: list, targets: list, order: WeightedOrder,
+                           lowest: int = 0) -> list:
     """Reduced elements for the targets of degree ``lowest`` or more, one
     degree at a time; targets of lower degree only serve as divisors.
 
@@ -431,8 +453,15 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list, lowest: int
     owner = {}
     for g, lm in zip(elements, lms):
         owner.setdefault(lm, g)
-    reducer = {lm: _integer_terms(g)[0] if field.integral else g.terms for lm, g in owner.items()}
-    one = field.one()
+    if field.integral:
+        forms = {lm: _integer_terms(g) for lm, g in owner.items()}
+        reducer = {lm: terms for lm, (terms, _, _) in forms.items()}
+        # terms/s is monic at lm when terms[lm] = s = num/den
+        monic_at = {lm for lm, (terms, num, den) in forms.items() if terms[lm] * den == num}
+    else:
+        reducer = {lm: g.terms for lm, g in owner.items()}
+        one = field.one()
+        monic_at = {lm for lm, g in owner.items() if g.terms[lm] == one}
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
         if d < lowest:
@@ -459,11 +488,11 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list, lowest: int
                     source[u] = divisor
                     block.append(u)
         if len(block) == len(of_degree) and all(
-                owner[t].terms[t] == one and len(source.keys() & row.keys()) == 1
+                t in monic_at and len(source.keys() & row.keys()) == 1
                 for t, row in zip(of_degree, rows)):
             out.extend(owner[t] for t in of_degree)
             continue
-        got = _reduced_rows(field, nvars, rows, block, of_degree)
+        got = _reduced_rows(field, nvars, rows, block, of_degree, order)
         if got is None:
             raise AssertionError(
                 f"distinct leading monomials gave a singular block in degree {d}"
@@ -498,7 +527,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     if not all(g.is_homogeneous() for g in elements):
         raise ValueError("basis elements must be homogeneous")
     lms = [leading_term(g, order)[1] for g in elements]
-    out = _reduce_by_elimination(elements, lms, minimal_generators(lms))
+    out = _reduce_by_elimination(elements, lms, minimal_generators(lms), order)
     return GroebnerBasis(sort_basis(out, order), order)
 
 

@@ -32,6 +32,7 @@ dimensions take any field.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from math import gcd
 
 from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
@@ -146,7 +147,7 @@ def lift_groebner(
                 rows.append({tuple(a + b for a, b in zip(m, v)): c
                              for m, c in terms.items()})
         got = _reduced_rows(
-            field, nvars, rows, block, [t for t in targets if mono_degree(t) == d]
+            field, nvars, rows, block, [t for t in targets if mono_degree(t) == d], order
         )
         if got is None:
             raise LiftInconsistent(
@@ -157,7 +158,8 @@ def lift_groebner(
     return GroebnerBasis(sort_basis(out, order), order)
 
 
-def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis) -> str | None:
+def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis,
+                         leading_ideal=None) -> str | None:
     """Why ``lifted``, lifted from the claimed minimal generators C of the
     initial ideal of <F>, is not certified as a basis of <F>; None when it is.
 
@@ -168,8 +170,10 @@ def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis) -> str |
     lift degree passes by construction: the lift's pivots among all the
     degree-d multiples of F are exactly C_d.  Elsewhere, with at most n
     generators, dim C_d = c_d suffices (c_d bounds dim I_d); otherwise
-    dim I_d is read from one grevlex completion of F over the trivially
-    valued Q, built at most once.  Equal counts make C_d the whole leading
+    dim I_d is read from the leading monomials of one grevlex completion of
+    F over the trivially valued Q, asked of ``leading_ideal()`` at most once
+    (by default ``_grevlex_leading_ideal(F)``; ``gb_mod_pm`` passes one
+    memoized across its attempts).  Equal counts make C_d the whole leading
     ideal in degree d, so no S-pair there leaves a nonzero remainder, and at
     a generator degree the lifted elements span I_d.  No valued arithmetic
     is done; an exception raised here is a fault, not a failed attempt.
@@ -191,7 +195,7 @@ def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis) -> str |
         if generic is not None and count == generic(d):
             continue
         if ideal_lms is None:
-            ideal_lms = _grevlex_leading_ideal(F)
+            ideal_lms = (leading_ideal or partial(_grevlex_leading_ideal, F))()
         expected = monomial_ideal_dim(ideal_lms, nvars, d)
         if count != expected:
             return (f"the claimed initial ideal has {count} monomials in degree "
@@ -276,6 +280,8 @@ def gb_mod_pm(
     if m is None:
         m = max(16, 2 * (1 + max_val))
 
+    # the certificate's Q completion depends on F alone: built at most once
+    leading_ideal = cache(partial(_grevlex_leading_ideal, F))
     info = {"p": p, "m_values": [], "retries": 0, "fallback": False, "failures": []}
     for _ in range(retry_budget + 1):
         info["m_values"].append(m)
@@ -300,7 +306,7 @@ def gb_mod_pm(
             failure = f"{type(exc).__name__}: {exc}"
         else:
             stage = "certificate"
-            failure = _certificate_failure(F, claimed, lifted)
+            failure = _certificate_failure(F, claimed, lifted, leading_ideal)
             if failure is None:
                 info["final_m"] = m
                 if stats is not None:

@@ -13,7 +13,8 @@ Polynomial expressions allow integer and rational coefficients, implicit
 multiplication, ^ for powers, parenthesized subexpressions, and division by
 constants; over Q(t) the name t denotes the valuation parameter, so scalars
 like (1+t^5) or (3+t)/(1+t) are ordinary subexpressions.  Errors carry exact
-line/column positions.
+line/column positions; a missing directive is reported at the end of input,
+on the line after the last.
 
 One compiled regular expression splits an expression into (kind, text,
 column) tokens; integers are ASCII digits.  The recursive-descent parser
@@ -306,7 +307,8 @@ def parse_problem(text: str) -> ProblemFile:
     poly_chunks: dict[str, list[tuple[str, int, int]]] = {"ideal": [], "target": []}
     section: str | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         stripped = _strip_comment(raw)
         if not stripped.strip():
             continue
@@ -354,10 +356,11 @@ def parse_problem(text: str) -> ProblemFile:
         else:
             raise ParseError(f"unrecognized line {stripped.strip()!r}", lineno, 1)
 
+    end = (len(lines) + 1, 1)  # a missing directive is reported past the input
     if field is None:
-        raise ParseError("missing 'field' directive", 1, 1)
+        raise ParseError("missing 'field' directive", *end)
     if names is None:
-        raise ParseError("missing 'vars' directive", 1, 1)
+        raise ParseError("missing 'vars' directive", *end)
     if isinstance(field, RationalFunctionField) and "t" in names:
         raise ParseError("variable name 't' is reserved over Qt", *names_at)
 
@@ -374,7 +377,7 @@ def parse_problem(text: str) -> ProblemFile:
         )
 
     if not poly_chunks["ideal"]:
-        raise ParseError("missing 'ideal:' section", 1, 1)
+        raise ParseError("missing 'ideal:' section", *end)
     generators = [
         parse_polynomial(chunk, field, names, line, col)
         for chunk, line, col in poly_chunks["ideal"]

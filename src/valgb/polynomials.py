@@ -9,11 +9,20 @@ once, in ``_add_terms`` and ``_mul_terms``.  ``Polynomial``'s ``+``, ``-``,
 ``*``, ``scale`` and ``mono_mul`` use them, and so does the expression
 parser.  They drop every monomial whose scalar vanishes, including the
 products of nonzero residues that vanish over Z/p^m.
+
+Over Q and Qp the completion loop makes its elements as ``_IntegerBacked``
+polynomials: each is held as its primitive integer form (integer terms of
+content one and a scale num/den > 0 with num/den * f = terms), the memo
+that the loops read, and its Fraction ``terms`` are built on first read.
+Emptiness, degree, homogeneity and equality between two of them are read
+off the integer form; every other operation reads the Fraction terms.
+Ordinary polynomials carry no part of this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterator
 
@@ -323,6 +332,55 @@ class Polynomial:
 
     def __repr__(self):
         return poly_to_str(self)
+
+
+class _IntegerBacked(Polynomial):
+    """terms/s over Q or Qp, for a primitive integer term dict and s =
+    num/den > 0 in lowest terms, kept as its ``"integer-terms"`` memo
+    (terms, num, den).  That form is canonical, so two of them are equal
+    exactly when their fields, variable counts and memos are."""
+
+    __slots__ = ()
+
+    def __init__(self, field, nvars: int, terms: dict, num: int, den: int):
+        self.field = field
+        self.nvars = nvars
+        self._cache = {"integer-terms": (terms, num, den)}
+
+    def __getattr__(self, name):
+        """Reached for an attribute that normal lookup misses, as ``terms``
+        is until its first read: the Fraction terms are built then and
+        kept in the slot."""
+        if name != "terms":
+            raise AttributeError(name)
+        ints, num, den = self._cache["integer-terms"]
+        self.terms = terms = {m: Fraction(c * den, num) for m, c in ints.items()}
+        return terms
+
+    def is_zero(self) -> bool:
+        return not self._cache["integer-terms"][0]
+
+    def __bool__(self):
+        return bool(self._cache["integer-terms"][0])
+
+    def degree(self) -> int | None:
+        ints = self._cache["integer-terms"][0]
+        return max(map(mono_degree, ints)) if ints else None
+
+    def is_homogeneous(self) -> bool:
+        cached = self._cache.get("homog")
+        if cached is None:
+            degs = set(map(mono_degree, self._cache["integer-terms"][0]))
+            cached = self._cache["homog"] = len(degs) <= 1
+        return cached
+
+    def __eq__(self, other):
+        if type(other) is not _IntegerBacked:
+            return Polynomial.__eq__(self, other)
+        return (self.field == other.field and self.nvars == other.nvars
+                and self._cache["integer-terms"] == other._cache["integer-terms"])
+
+    __hash__ = Polynomial.__hash__
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:

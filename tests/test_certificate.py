@@ -55,8 +55,8 @@ def test_wrong_claims_are_caught_from_m_4(monkeypatch):
     real = lifting._certificate_failure
     verdicts = []
 
-    def both(F, claimed, lifted):
-        failure = real(F, claimed, lifted)
+    def both(F, claimed, lifted, *rest):
+        failure = real(F, claimed, lifted, *rest)
         verdicts.append((failure is None, is_basis_of(lifted, F)))
         return failure
 
@@ -72,6 +72,27 @@ def test_wrong_claims_are_caught_from_m_4(monkeypatch):
         assert len(stats["failures"]) == len(stats["m_values"]) - 1
     assert (attempts, len(verdicts), rejected) == (157, 138, 37)
     assert all(ours == theirs for ours, theirs in verdicts)
+
+
+def test_gb_mod_pm_builds_the_q_completion_once(monkeypatch):
+    # modpm-d input 18 has three generators in three variables, so its
+    # certificate reads dim I_d from the Q completion; at m = 3 the first
+    # claim fails the counts and the second passes
+    real = lifting._grevlex_leading_ideal
+    built = []
+
+    def counting(F):
+        built.append(F)
+        return real(F)
+
+    monkeypatch.setattr(lifting, "_grevlex_leading_ideal", counting)
+    gens, order = small_padic_inputs()[18]
+    stats = {}
+    basis = gb_mod_pm(gens, order, m=3, stats=stats)
+    assert [f["stage"] for f in stats["failures"]] == ["certificate"]
+    assert stats["m_values"] == [3, 6] and not stats["fallback"]
+    assert len(built) == 1
+    assert basis.elements == reduce_basis(buchberger(gens, order)).elements
 
 
 def _record_fields(monkeypatch) -> list:

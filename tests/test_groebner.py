@@ -623,3 +623,27 @@ def test_interreduction_is_only_over_qp():
             assert stats["interreductions"] == 0, (field, trial)
             joined += stats["new_elements"] > 0
     assert joined > 50
+
+
+def test_completion_builds_no_fraction_terms(monkeypatch):
+    # over Q and Qp the loop's S-polynomials and elements are integer-backed;
+    # every build of their Fraction terms passes through the one hook below
+    import valgb.lifting
+    from valgb.cardinality import cardinality_report
+    from valgb.polynomials import _IntegerBacked
+
+    built = []
+    real = _IntegerBacked.__getattr__
+
+    def recording(f, name):
+        built.append(f)
+        return real(f, name)
+
+    monkeypatch.setattr(_IntegerBacked, "__getattr__", recording)
+    assert cardinality_report(2, seed=0).bound_holds()
+    gens, order = _w1()
+    assert valgb.lifting._grevlex_leading_ideal(gens)
+    reduced = reduce_basis(buchberger(gens, order))
+    assert not built
+    # the hook sees a read of the coefficients
+    assert str(reduced.elements[0]) and built == [reduced.elements[0]]

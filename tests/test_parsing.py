@@ -120,6 +120,18 @@ def test_missing_sections():
         parse_problem("field Q\nvars x,y\n")
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("vars x,y\nideal: x\n", "missing 'field' directive", 3),
+    ("field Q\n\nideal: x\n# end\n", "missing 'vars' directive", 5),
+    ("field Q\nvars x,y", "missing 'ideal:' section", 3),
+    ("", "missing 'field' directive", 1),
+])
+def test_missing_directives_are_reported_at_the_end_of_input(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, 1)
+
+
 def test_expression_grammar():
     f = parse_polynomial("2(x+y)^2-4x*y", QQ, ["x", "y"])
     assert f == P(QQ, "x,y", "2x^2+2y^2")
