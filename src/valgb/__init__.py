@@ -37,7 +37,6 @@ from .weights import (
     compare,
     initial_form,
     leading_data,
-    leading_monomial,
     leading_term,
     trop_weight,
 )
@@ -54,7 +53,6 @@ from .groebner import (
     buchberger,
     criterion_b1,
     criterion_b2,
-    is_basis_of,
     minimal_generators,
     monic,
     reduce_basis,

@@ -44,20 +44,21 @@ depend on the domain:
 The state is thus always a scalar multiple of the one a division that
 inverts 1 - lambda*u_k/u at every recorded step would hold, and the steps,
 the trace and the remainder are exactly that division's.  The quotients h_i
-are not carried in the loop: it keeps one short record per step.  Both the
-remainder (divided by u) and the quotients are built from the final state
-the first time ``DivisionResult`` is asked for them, and so is 1/u; the
-completion loop reads only the integer remainder u*r.
+are not carried in the loop: it keeps one short record per step, with the
+scalar a step divided the state by, not its inverse.  Both the remainder
+(divided by u) and the quotients are built from the final state the first
+time ``DivisionResult`` is asked for them, and so is 1/u; the completion
+loop reads only the integer remainder u*r.
 
 A strong normal form divides every term it can: no term of r is divisible
 by a leading monomial of the divisors.  A weak one (``weak=True``) stops at
 the first leading term nothing in T divides and keeps all of q as r, so
 only lm(r) is sure to avoid the divisors' leading monomials.  That is all
 Buchberger's criterion reads (Greuel-Pfister), so the completion loop asks
-for it over every field and ``is_basis_of`` always asks for it.  The strong
-form, the default, serves the readers of the whole remainder: ``valgb nf``,
-which prints the division certificate, and the loop over Z/p^m (m > 1),
-whose ``_modpm_normalize`` reads the remainder's p-content.
+for it over every field.  The strong form, the default, serves the readers
+of the whole remainder: ``valgb nf``, which prints the division
+certificate, and the loop over Z/p^m (m > 1), whose ``_modpm_normalize``
+reads the remainder's p-content.
 
 Every state in T shares the dividend's degree, so a recorded state divides
 only at its own leading monomial; recorded states are kept in a dict keyed
@@ -202,9 +203,9 @@ def _replay_quotients(fld, n: int, factors: list, record: list, inv_u) -> list:
     """The quotients h_i of f, rebuilt from the loop's step record.
 
     Record entries: None when the current state joins the recorded states;
-    (k, xv, alpha, beta, scale) for h <- scale*(alpha*h + beta*x^xv*e_k)
-    against original divisor k >= 0, or h <- scale*(alpha*h - beta*h_~k)
-    against recorded state ~k, where alpha and scale None stand for 1.
+    (k, xv, alpha, beta, content) for h <- (alpha*h + beta*x^xv*e_k)/content
+    against original divisor k >= 0, or h <- (alpha*h - beta*h_~k)/content
+    against recorded state ~k, where alpha and content None stand for 1.
     Finally h_i is multiplied by s_i*inv_u for factors[i] = (num, den) and
     s_i = num/den (a None num stands for s_i = 1, and a None inv_u for 1).
     """
@@ -214,15 +215,15 @@ def _replay_quotients(fld, n: int, factors: list, record: list, inv_u) -> list:
         if entry is None:
             states.append(list(h))
             continue
-        k, xv, alpha, beta, scale = entry
+        k, xv, alpha, beta, content = entry
         if alpha is not None:
             h = [a.scale(alpha) for a in h]
         if k >= 0:
             h[k] = h[k] + Polynomial.term(fld, n, xv, beta)
         else:
             h = [a - b.scale(beta) for a, b in zip(h, states[~k])]
-        if scale is not None:
-            h = [a.scale(scale) for a in h]
+        if content is not None:
+            h = [a.scale(fld.inv(content)) for a in h]
     factors = [inv_u if num is None else Fraction(num, den) * inv_u
                for num, den in factors]
     return [a if c is None else a.scale(c) for a, c in zip(h, factors)]
@@ -298,7 +299,7 @@ def normal_form(
             if g == 1:
                 return U, Q, R, None
             return (U // g, {m: c // g for m, c in Q.items()},
-                    {m: c // g for m, c in R.items()}, Fraction(1, g))
+                    {m: c // g for m, c in R.items()}, g)
 
         def inverse_unit(U):
             return Fraction(den_f, U * num_f)
@@ -323,7 +324,7 @@ def normal_form(
                 return U, Q, R, None
             inv = fld.inv(U)
             return (one, {m: c * inv % mod for m, c in Q.items()},
-                    {m: c * inv % mod for m, c in R.items()}, inv)
+                    {m: c * inv % mod for m, c in R.items()}, U)
 
         def inverse_unit(U):
             return None if U == one else fld.inv(U)
@@ -422,10 +423,10 @@ def normal_form(
                 Q = _combine(alpha, Q, beta, best.terms, None, mod)
                 R = _combine(alpha, R, beta, best.r, None, mod)
                 action, dlabel = "divide-recorded", "q"
-            scale = None
+            content = None
             if Q:
-                U, Q, R, scale = normalize(U, Q, R)
-            record.append((k, xv, alpha, beta, scale))
+                U, Q, R, content = normalize(U, Q, R)
+            record.append((k, xv, alpha, beta, content))
         if trace_log is not None:
             trace_log.append(
                 TraceStep(steps, q_start, r_start, action, dlabel, lm,

@@ -5,34 +5,32 @@ of its elements generate the full initial ideal; equivalently every
 S-polynomial of two elements divides to zero against G.  The reduced basis
 (minimal, monic, tail-reduced) is unique for a fixed ideal and order.
 
-Valued division reduces S-polynomials and verifies bases.  Over Q and Qp
-the completion loop and ``is_basis_of`` work on integers: each element is
-read as its memoized primitive integer form, ``s_polynomial`` forms each
-S-polynomial on those forms and hands it to the division as an
-integer-backed polynomial (``polynomials._IntegerBacked``), and a new
-element is made monic once, from the division's integer remainder, as an
-integer-backed polynomial whose leading data (W = w.lm, lm, lc = 1) is
-seeded.  So the loop reads emptiness, degrees, leading data and equality
-off integers, and builds no Fraction unless a caller reads an element's
-terms.  The ring picks how a new element is normalized: Q(t) and GF(p)
-scale it to be monic, and Z/p^m (m > 1) first strips its p-content and
-reads truncation noise as zero.
+Valued division reduces S-polynomials.  Over Q and Qp the completion loop
+works on integers: each element is read as its memoized primitive integer
+form, ``s_polynomial`` forms each S-polynomial on those forms and hands it
+to the division as an integer-backed polynomial
+(``polynomials._IntegerBacked``), and a new element is made monic once,
+from the division's integer remainder, as an integer-backed polynomial
+whose leading data (W = w.lm, lm, lc = 1) is seeded.  So the loop reads
+emptiness, degrees, leading data and equality off integers, and builds no
+Fraction unless a caller reads an element's terms.  The ring picks how a
+new element is normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m
+(m > 1) first strips its p-content and reads truncation noise as zero.
 
 One normal-form rule serves every field.  Buchberger's criterion reads only
 whether a remainder is zero and, if not, its leading monomial, so the loop
-and both divisions of ``is_basis_of`` ask for the weak normal form
-(``normal_form(..., weak=True)``; Greuel-Pfister).  When G is a basis and
-the dividend lies in <G>, the running q stays in <G> while the remainder is
-empty, so lm(q) always has a divisor and the weak division takes the
-strong one's steps.  A strong remainder is nonzero only after a remainder
-step, and that is exactly where the weak division stops, so the two give
-the same verdicts; they differ only where the strong one carries the tail
-on past that step into the bit breaker.  That tail work is where the strong
-form blew up on random quadrics over Qp, and ``reduce_basis`` reads tails
-off its RREF anyway.  The exception is Z/p^m (m > 1), the modular run
-of ``lifting.gb_mod_pm``: ``_modpm_normalize`` reads the p-content of the
-whole remainder to tell truncation noise from a new element, so the loop
-keeps strong forms there.
+asks for the weak normal form (``normal_form(..., weak=True)``;
+Greuel-Pfister).  When G is a basis and the dividend lies in <G>, the
+running q stays in <G> while the remainder is empty, so lm(q) always has a
+divisor and the weak division takes the strong one's steps.  A strong
+remainder is nonzero only after a remainder step, and that is exactly where
+the weak division stops, so the two give the same verdicts; they differ
+only where the strong one carries the tail on past that step into the bit
+breaker.  That tail work is where the strong form blew up on random
+quadrics over Qp, and ``reduce_basis`` reads tails off its RREF anyway.
+The exception is Z/p^m (m > 1), the modular run of ``lifting.gb_mod_pm``:
+``_modpm_normalize`` reads the p-content of the whole remainder to tell
+truncation noise from a new element, so the loop keeps strong forms there.
 
 Over Qp the valued division may divide by its own recorded states, and
 against an unreduced basis its rationals can grow far beyond the basis it
@@ -50,8 +48,7 @@ generic forms are a regular sequence, so dim <lm G>_d <= dim in_w(I)_d =
 dim I_d <= c_d; equality makes <lm G>_d all of in_w(I)_d, and every
 remainder of degree d is zero (Traverso, "Hilbert functions and the
 Buchberger algorithm", 1996).  It never applies past n generators, where
-the generic count is Froberg's unproven conjecture, nor over Z/p^m, nor in
-``is_basis_of``.
+the generic count is Froberg's unproven conjecture, nor over Z/p^m.
 
 The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
@@ -59,8 +56,8 @@ Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
 its entries are ratios of minors, and on rows of field scalars over GF(p)
 and Q(t).  Over Q and Qp each returned row is integer-backed, with its
 leading data seeded once a scan of its integers confirms the leading
-monomial.  The lift of ``lifting.gb_mod_pm`` reads its rows with the same
-routine.
+monomial.  The lift (``lifting.lift_groebner``) reads its rows with the
+same routine.
 """
 
 from __future__ import annotations
@@ -534,22 +531,16 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
 def is_basis_of(gb: GroebnerBasis, generators: list, *,
                 max_steps: int = 1_000_000,
                 max_coeff_bits: int | None = None) -> bool:
-    """Verify the basis property over the field: all surviving S-pairs and all
-    original generators have a zero weak normal form against the basis.
+    """Whether every generator and every S-pair not skipped by B1 has a zero
+    weak normal form against the basis; the weak form gives the strong
+    one's verdicts (see the module docstring).
 
-    The weak form gives the strong one's verdict on every input (see the
-    module docstring).  It stops at the first remainder step, so a non-basis
-    is rejected there, before a strong division could carry the remainder's
-    tail on into the bit breaker.
-
-    So it proves that G is a basis of <G> and that the generators F lie in
-    <G>, but not that <G> lies in <F>: over Qp(2), G = [x, y] passes for
-    F = [x].  So it never uses the Hilbert skip of ``buchberger``, whose
-    counts need <G> = <F>; every S-pair not skipped by B1 is divided.
-    ``valgb gb --verify`` calls it over Q(t), on the basis the CLI itself
-    computed.  Over Q and Qp the CLI certifies by the lift instead
-    (``lifting._certified_by_lift``), which shows <G> = <F> and divides
-    nothing.
+    This shows that G is a basis of <G> and that F lies in <G>, but not that
+    <G> lies in <F>: over Qp(2), G = [x, y] passes for F = [x].  No library
+    code calls it, since ``lifting._certified_by_lift`` shows <G> = <F> over
+    every field and divides nothing.  The tests use it as an oracle; it
+    moves to ``tests/oracles.py`` once the benchmark's tracing
+    (``perfbench/tracing.py``) no longer wraps it by name.
     """
     G = gb.elements
     order = gb.order

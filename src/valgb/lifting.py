@@ -1,5 +1,6 @@
-"""Hilbert dimensions, basis reconstruction from an initial ideal, and the
-mod-p^m acceleration, certified by the lift and Hilbert counts.
+"""Hilbert dimensions, basis reconstruction from an initial ideal, the
+certificate that verifies a basis over every field, and the mod-p^m
+acceleration it certifies.
 
 Working over Z/p^m tames the coefficient blow-up of exact rational runs:
 substitute x_i -> p^(w_i) x_i, scale to primitive integer polynomials (so no
@@ -7,11 +8,12 @@ p-content is left), complete a basis mod p^m with weight zero (over Z/p^m,
 ``buchberger`` itself strips each new element's p-content and reads
 truncation noise as zero), read off the initial monomial ideal, and
 reconstruct the reduced rational basis degree by degree.  The reconstruction
-row reduces all the generators' multiples of each degree as primitive
-integer rows and builds Fractions only for the rows it returns.  It reads
-the RREF with the routine that gives ``reduce_basis`` its reduced bases over
-every field; only the rows differ, since the generators are not a basis.  It
-fails loudly when m was too small.
+row reduces all the generators' multiples of each degree, over Q and Qp as
+primitive integer rows that become Fractions only in the rows it returns,
+and over Q(t) as rows of the field's scalars.  It reads the RREF with the
+routine that gives ``reduce_basis`` its reduced bases over every field; only
+the rows differ, since the generators are not a basis.  It fails loudly when
+m was too small.
 
 The lifted basis is then certified without valued division (Traverso,
 "Hilbert functions and the Buchberger algorithm", 1996).  Each lifted
@@ -24,10 +26,11 @@ degree and at the lcm degree of every pair the coprime criterion does not
 skip.  At a lift degree they are equal by construction: the lift's pivots
 are exactly C_d among all multiples of F.  Elsewhere dim I_d is bounded by
 c_d, the count of r <= n generic forms (``hilbert.generic_dims``), or read
-from one grevlex completion over the trivially valued Q.  A mismatch, like
-an inconsistent lift, means m was too small: the pipeline retries with
-doubled m.  The reconstruction takes Q and Qp generators only; Hilbert
-dimensions take any field.
+from one grevlex completion with weight zero (over the trivially valued Q
+for Q and Qp generators).  A mismatch, like an inconsistent lift, means m
+was too small: the pipeline retries with doubled m.  ``valgb gb --verify``
+certifies a printed basis the same way over every field
+(``_certified_by_lift``).
 """
 
 from __future__ import annotations
@@ -111,10 +114,11 @@ def lift_groebner(
     coefficient matrix of all degree-d multiples of F is row reduced with the
     claimed initial monomials ordered first.  When the claim is consistent
     the pivots land exactly on that block and each target monomial's row is a
-    reduced basis element; otherwise ``LiftInconsistent`` is raised.  F must
-    be over Q or Qp; any other field raises ``ValueError``.  The generators
-    are scaled to coprime integers, so the matrix stays integer until each
-    target row is divided by its pivot entry.
+    reduced basis element; otherwise ``LiftInconsistent`` is raised.  F may
+    be over any field; Z/p^m with m > 1 raises ``ValueError``.  Over Q and
+    Qp the generators are scaled to coprime integers, so the matrix stays
+    integer until each target row is divided by its pivot entry; over other
+    fields the rows hold the field's scalars.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -123,9 +127,10 @@ def lift_groebner(
     monomials = [tuple(m) for m in monomials]
     if any(len(m) != nvars for m in monomials):
         raise ValueError("monomial/variable mismatch")
-    if not field.integral:
-        raise ValueError("integer clearing needs rational coefficients")
-    gens = [(f.homogeneous_degree(), _integer_terms(f)[0]) for f in F]
+    if not field.is_field:
+        raise ValueError(f"{field.label} is not a field; the lift needs one")
+    gens = [(f.homogeneous_degree(), _integer_terms(f)[0] if field.integral else f.terms)
+            for f in F]
     targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
@@ -171,7 +176,8 @@ def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis,
     degree-d multiples of F are exactly C_d.  Elsewhere, with at most n
     generators, dim C_d = c_d suffices (c_d bounds dim I_d); otherwise
     dim I_d is read from the leading monomials of one grevlex completion of
-    F over the trivially valued Q, asked of ``leading_ideal()`` at most once
+    F with weight zero (over the trivially valued Q for Q and Qp), asked of
+    ``leading_ideal()`` at most once
     (by default ``_grevlex_leading_ideal(F)``; ``gb_mod_pm`` passes one
     memoized across its attempts).  Equal counts make C_d the whole leading
     ideal in degree d, so no S-pair there leaves a nonzero remainder, and at
@@ -204,10 +210,10 @@ def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis,
 
 
 def _certified_by_lift(basis: GroebnerBasis, F: list) -> bool:
-    """Whether a reduced basis over Q or Qp is the reduced basis of <F>: the
-    lift rebuilds it from its own leading monomials, and the certificate
-    accepts it.  Unlike ``is_basis_of`` this shows <basis> = <F>, and it
-    does no valued division."""
+    """Whether a reduced basis over any field is the reduced basis of <F>:
+    the lift rebuilds it from its own leading monomials, and the certificate
+    accepts it.  This shows <basis> = <F> and does no valued division; it
+    is the one verifier of ``valgb gb --verify``."""
     F = [f for f in F if not f.is_zero()]
     claimed = minimal_generators(basis.leading_monomials())
     try:

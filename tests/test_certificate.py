@@ -12,10 +12,10 @@ from valgb import (
     GREVLEX,
     Qp,
     QQ,
+    Qt,
     WeightedOrder,
     buchberger,
     gb_mod_pm,
-    is_basis_of,
     lift_groebner,
     parse_problem,
     reduce_basis,
@@ -23,11 +23,11 @@ from valgb import (
 from valgb.cardinality import sample_pair
 from valgb.cli import main
 from valgb.fields import QpField
-from valgb.groebner import GroebnerBasis
+from valgb.groebner import GroebnerBasis, is_basis_of
 from valgb.lifting import _certified_by_lift
 
 from conftest import nine_variable_problem, polys, random_ideal, random_weights, zero_order
-from test_cli import W1, write
+from test_cli import QT_FAMILY, W1, write
 
 
 def small_padic_inputs():
@@ -148,14 +148,15 @@ def test_certificate_reads_the_lifted_leading_monomials():
 
 def test_certified_by_lift_needs_the_generators_ideal():
     # is_basis_of passes [x, y] for F = [x]; the lift does not rebuild it
-    F = polys(Qp(2), "x,y", "x")
-    wrong = GroebnerBasis(polys(Qp(2), "x,y", "x", "y"), zero_order(2))
-    assert is_basis_of(wrong, F)
-    assert not _certified_by_lift(wrong, F)
-    assert _certified_by_lift(GroebnerBasis(F, zero_order(2)), F)
+    for field in (Qp(2), Qt()):
+        F = polys(field, "x,y", "x")
+        wrong = GroebnerBasis(polys(field, "x,y", "x", "y"), zero_order(2))
+        assert is_basis_of(wrong, F)
+        assert not _certified_by_lift(wrong, F)
+        assert _certified_by_lift(GroebnerBasis(F, zero_order(2)), F)
 
 
-@pytest.mark.parametrize("field", [QQ, Qp(2)])
+@pytest.mark.parametrize("field", [QQ, Qp(2), Qt()])
 def test_certified_by_lift_rejects_a_non_basis(field):
     # x^2 + y^2, x*y has y^3 in its ideal: [x^2 + y^2, x*y] alone is
     # rebuilt by the lift, but its counts fall short in degree 3
@@ -169,8 +170,9 @@ def test_certified_by_lift_rejects_a_non_basis(field):
 
 
 def test_cli_verify_over_q_and_qp(tmp_path, capsys):
-    for text in [W1, W1.replace("Qp(2)", "Q")]:
-        path = write(tmp_path, "w1.vgb", text)
+    # and over Q(t), by the same lift and counts
+    for text in [W1, W1.replace("Qp(2)", "Q"), QT_FAMILY]:
+        path = write(tmp_path, "problem.vgb", text)
         assert main(["gb", path, "--verify"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == "verified: true" and len(out) > 1

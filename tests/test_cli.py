@@ -58,21 +58,6 @@ def test_gb_verify_flag(tmp_path, capsys):
     assert out[-1] == "verified: true"
 
 
-def test_gb_verify_honours_max_coeff_bits(tmp_path, capsys, monkeypatch):
-    seen = []
-    real = valgb.cli.is_basis_of
-
-    def recorder(*args, **kwargs):
-        seen.append(kwargs.get("max_coeff_bits"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(valgb.cli, "is_basis_of", recorder)
-    path = write(tmp_path, "family.vgb", QT_FAMILY)
-    assert main(["gb", path, "--verify", "--max-coeff-bits", "4096"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "verified: true"
-    assert seen == [4096]
-
-
 def test_gb_no_criteria_same_output(tmp_path, capsys):
     path = write(tmp_path, "family.vgb", QT_FAMILY)
     assert main(["gb", path, "--no-criteria"]) == 0

@@ -374,3 +374,29 @@ def test_w1_normal_form_does_no_field_arithmetic_per_step(monkeypatch):
         assert all(type(c) is Fraction for c in h.terms.values())
         acc = acc + h * g
     assert acc == f
+
+
+def test_w1_completion_builds_no_fraction_in_the_division(monkeypatch):
+    # the division's content steps record the content g itself; 1/g is built
+    # only when the quotients are replayed, which the completion loop never reads
+    import valgb.division
+    from valgb import buchberger, parse_problem
+    from test_cli import W1
+
+    problem = parse_problem(W1)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(valgb.division, "Fraction", counting)
+    basis = buchberger(problem.generators, problem.weighted_order())
+    assert len(basis) == 6 and built == []
+    # the quotient replay still inverts the recorded contents
+    res = normal_form(basis.elements[-1] * basis.elements[0], basis.elements,
+                      problem.weighted_order(), max_steps=BUDGET)
+    acc = res.remainder
+    for h, g in zip(res.quotients, basis.elements):
+        acc = acc + h * g
+    assert acc == basis.elements[-1] * basis.elements[0]

@@ -140,10 +140,14 @@ def test_macaulay_inputs_must_agree():
     F = polys(f2, "x,y", "x+2y", "y+2x")
     with pytest.raises(ValueError, match="monomial/variable mismatch"):
         lift_groebner(F, zero_order(2), [(1, 0, 0), (0, 1)])
-    # the reconstruction is rational only
-    F = polys(Qt(), "x,y", "x+t*y", "y+2x")
-    with pytest.raises(ValueError, match="rational coefficients"):
-        lift_groebner(F, zero_order(2), [(1, 0), (0, 1)])
+    # over Q(t) the lift rebuilds the reduced basis from rows of field scalars
+    F = polys(Qt(), "x,y,z", "x+t*y+z", "t*x*z+y^2-(1+t)/(2-t)*z^2")
+    order = WeightedOrder((1, 0, 2), GREVLEX)
+    basis = reduce_basis(buchberger(F, order))
+    lifted = lift_groebner(F, order, basis.leading_monomials())
+    assert lifted.elements == basis.elements
+    with pytest.raises(ValueError, match="not a field"):
+        lift_groebner(polys(ModPmRing(2, 3), "x,y", "x+2y"), zero_order(2), [(1, 0)])
 
 
 def test_rref_prefers_low_valuation_pivots():
