@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 
+from .division import _integer_terms
 from .fields import QQ, Qp
 from .groebner import buchberger, minimal_generators
 from .polynomials import (
@@ -24,6 +26,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     TermOrder,
+    _IntegerBacked,
     mono_divides,
     monomials_of_degree,
 )
@@ -69,9 +72,14 @@ def sample_pair(e: int, rng: random.Random, height: int = 20):
     evens = [c for c in range(-height, height + 1) if c % 2 == 0 and c != 0]
     f_terms = {m: rng.choice(odds if m == x1d else evens) for m in monos}
     g_terms = {m: rng.choice(odds if m == x2e3e else evens) for m in monos}
-    f = Polynomial(field, 3, f_terms)
-    g = Polynomial(field, 3, g_terms)
-    return f, g
+    return _integer_backed(field, f_terms), _integer_backed(field, g_terms)
+
+
+def _integer_backed(field, terms: dict) -> Polynomial:
+    """The polynomial with these nonzero integer coefficients, held by its
+    primitive integer form, so no Fraction is built until its terms are read."""
+    c = gcd(*terms.values())
+    return _IntegerBacked(field, 3, {m: v // c for m, v in terms.items()}, 1, c)
 
 
 def default_orders(e: int) -> list[TermOrder]:
@@ -112,7 +120,8 @@ def is_strongly_stable(generators: list[Monomial], priority: tuple) -> bool:
 
 
 def _to_trivial(f: Polynomial) -> Polynomial:
-    return Polynomial(QQ, f.nvars, dict(f.terms), _clean=True)
+    """f over Q, sharing its integer form."""
+    return _IntegerBacked(QQ, f.nvars, *_integer_terms(f))
 
 
 def cardinality_report(

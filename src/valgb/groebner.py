@@ -40,21 +40,29 @@ Buchberger implementations do, and later pairs divide by a truncated
 reduced basis.
 
 The Hilbert skip spares the loop divisions that cannot change its basis.
-With the criteria on and r <= n distinct generators over a field, it drops
-a pair of degree d once dim <lm G>_d reaches c_d, the dimension of the
-degree-d slice of r generic forms of the generators' degrees
-(``hilbert.generic_dims``).  Macaulay rank is lower semicontinuous and
-generic forms are a regular sequence, so dim <lm G>_d <= dim in_w(I)_d =
-dim I_d <= c_d; equality makes <lm G>_d all of in_w(I)_d, and every
-remainder of degree d is zero (Traverso, "Hilbert functions and the
-Buchberger algorithm", 1996).  It never applies past n generators, where
-the generic count is Froberg's unproven conjecture, nor over Z/p^m.
+With the criteria on and r <= n distinct generators, it drops a pair of
+degree d once dim <lm G>_d reaches c_d, the dimension of the degree-d slice
+of r generic forms of the generators' degrees (``hilbert.generic_dims``).
+Over a field, Macaulay rank is lower semicontinuous and generic forms are a
+regular sequence, so dim <lm G>_d <= dim in_w(I)_d = dim I_d <= c_d;
+equality makes <lm G>_d all of in_w(I)_d, and every remainder of degree d
+is zero (Traverso, "Hilbert functions and the Buchberger algorithm", 1996).
+It never applies past n generators, where the generic count is Froberg's
+unproven conjecture.  Over Z/p^m it is sound because every claim of the
+modular run is certified afterwards (``lifting.gb_mod_pm``): if the run
+without the skip claims correctly, every leading monomial it ever holds
+lies in in_w(I), so once dim <lm G>_d reaches c_d >= dim in_w(I)_d every
+later pair of degree d reads as zero, and skipping it changes nothing;
+where that run would claim wrongly, the lift or the certificate rejects
+either run.
 
 The reduced basis is never tail-reduced by division.  Over every field it
 is read off one sparse RREF per degree (F4's symbolic preprocessing,
 Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
 its entries are ratios of minors, and on rows of field scalars over GF(p)
-and Q(t).  Over Q and Qp each returned row is integer-backed, with its
+and Q(t).  The rows go to ``rref`` as dicts column -> entry, and only the
+target rows are back-substituted; the other pivot rows only serve the
+elimination.  Over Q and Qp each returned row is integer-backed, with its
 leading data seeded once a scan of its integers confirms the leading
 monomial.  The lift (``lifting.lift_groebner``) reads its rows with the
 same routine.
@@ -117,7 +125,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g, computed exactly.
 
     Over Q and Qp it is formed on the memoized primitive integer forms of f
-    and g and returned integer-backed."""
+    and g and returned integer-backed; elsewhere on the term dicts, with the
+    products reduced mod p^m over Z/p^m and GF(p)."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     _, lmf, lcf = leading_term(f, order)
@@ -125,7 +134,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomi
     lcm = mono_lcm(lmf, lmg)
     xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
     if not f.field.integral:
-        return f.mono_mul(xf, lcg) - g.mono_mul(xg, lcf)
+        mod = f.field.modulus
+        S = {}
+        for m, c in f.terms.items():
+            c = c * lcg if mod is None else c * lcg % mod
+            if c:  # a product can vanish mod p^m
+                S[mono_mul(m, xf)] = c
+        S = _combine(None, S, lcf, g.terms, xg if any(xg) else None, mod)
+        return Polynomial(f.field, f.nvars, S, _clean=True)
     (F, nf, df), (G, ng, dg) = _integer_terms(f), _integer_terms(g)
     a, b = F[lmf], G[lmg]
     d = gcd(a, b)
@@ -244,13 +260,14 @@ def buchberger(
 
     Over every field each new element is a weak normal form, so its tail
     stays unreduced; over Z/p^m with m > 1 it is a strong one, whose
-    p-content ``_modpm_normalize`` reads (see the module docstring).  Over a
-    field, with at most n distinct generators in n variables, a pair that
-    survives B1 and B2 is skipped when the leading monomials already fill
-    its degree d up to c_d (see the module docstring); stats count these as
-    ``hilbert``.  c_d is set up when the
-    first pair survives the criteria, and each degree's leading-ideal
-    monomials are listed once and extended as elements join.
+    p-content ``_modpm_normalize`` reads (see the module docstring).  With
+    at most n distinct generators in n variables, a pair that survives B1
+    and B2 is skipped when the leading monomials already fill its degree d
+    up to c_d; over Z/p^m too, where the certificate of the modular run's
+    claim makes it sound (see the module docstring).  Stats count these as
+    ``hilbert``.  c_d is set up when the first pair survives the criteria,
+    and each degree's leading-ideal monomials are listed once and extended
+    as elements join.
     ``use_criteria=False`` turns off B1, B2 and the Hilbert skip, so every
     pair is divided.  ``progress(done, remaining)`` is called once per popped
     pair, divided or skipped, with the pairs popped so far and still queued.
@@ -308,7 +325,7 @@ def buchberger(
                 "new_elements": 0, "interreductions": 0}
 
     # the Hilbert skip, set up when a pair first survives B1 and B2
-    skipping = use_criteria and fld.is_field and len(G) <= n
+    skipping = use_criteria and len(G) <= n
     generic = None  # d -> c_d
     # d -> [c_d, |lms| read, the degree-d monomials of <lm G>]; interreduction
     # reorders lms only on the way to a degree above every slice made so far
@@ -394,28 +411,28 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list,
     term-dict rows whose columns put the block monomials first.
 
     The rows hold integers over Q and Qp and the field's scalars otherwise
-    (``linalg.rref`` takes the row operation from the field).  Returns None
-    unless the pivots are exactly the block; otherwise row t of the RREF,
-    divided by its pivot entry, is the element for target t (the targets
-    lie in the block).  Over Q and Qp it is integer-backed, and its leading
-    data under the order is seeded when a scan of the row confirms t as its
-    leading monomial (the lift's certificate reads it, so it is never
-    assumed).  The RREF is unique, so neither the row order nor the order
-    of the columns within and after the block matters.
+    (``linalg.rref`` takes the row operation from the field); they go to
+    ``rref`` as sparse rows, and only the target rows are back-substituted.
+    Returns None unless the pivots are exactly the block; otherwise row t
+    of the RREF, divided by its pivot entry, is the element for target t
+    (the targets lie in the block).  Over Q and Qp it is integer-backed,
+    and its leading data under the order is seeded when a scan of the row
+    confirms t as its leading monomial (the lift's certificate reads it, so
+    it is never assumed).  The RREF is unique, so neither the row order nor
+    the order of the columns within and after the block matters.
     """
     index = {m: i for i, m in enumerate(block)}
+    sparse = []
     for terms in rows:
-        for m in terms:
-            if m not in index:
-                index[m] = len(index)
-    columns = list(index)
-    dense = []
-    for terms in rows:
-        row = [0] * len(columns)
+        row = {}
         for m, c in terms.items():
-            row[index[m]] = c
-        dense.append(row)
-    reduced, pivots = rref(dense, field)
+            i = index.get(m)
+            if i is None:
+                i = index[m] = len(index)
+            row[i] = c
+        sparse.append(row)
+    columns = list(index)
+    reduced, pivots = rref(sparse, field, {index[t] for t in targets})
     if pivots != list(range(len(block))):
         return None
     out = []

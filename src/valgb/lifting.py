@@ -8,12 +8,16 @@ p-content is left), complete a basis mod p^m with weight zero (over Z/p^m,
 ``buchberger`` itself strips each new element's p-content and reads
 truncation noise as zero), read off the initial monomial ideal, and
 reconstruct the reduced rational basis degree by degree.  The reconstruction
-row reduces all the generators' multiples of each degree, over Q and Qp as
+row reduces the generators' multiples of each degree, over Q and Qp as
 primitive integer rows that become Fractions only in the rows it returns,
-and over Q(t) as rows of the field's scalars.  It reads the RREF with the
-routine that gives ``reduce_basis`` its reduced bases over every field; only
-the rows differ, since the generators are not a basis.  It fails loudly when
-m was too small.
+and over Q(t) as rows of the field's scalars.  It leaves out the multiples
+x^v*f_i that the Koszul form of the F5 criterion (Faugere 2002) shows to lie
+in the span of the others: those where the grevlex leading monomial of an
+earlier generator divides x^v.  The row space, and so the pivots, stay
+those of all the multiples.  It reads the RREF with the routine that gives
+``reduce_basis`` its reduced bases over every field: sparse rows, with only
+the target rows back-substituted.  Only the rows differ, since the
+generators are not a basis.  It fails loudly when m was too small.
 
 The lifted basis is then certified without valued division (Traverso,
 "Hilbert functions and the Buchberger algorithm", 1996).  Each lifted
@@ -37,10 +41,11 @@ from __future__ import annotations
 
 from functools import cache, partial
 from math import gcd
+from operator import add
 
 from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
 from .fields import ModPmRing, QQ, QpField, padic_valuation
-from .hilbert import generic_dims, monomial_ideal_dim
+from .hilbert import _shifts, generic_dims, monomial_ideal_dim, multiples
 from .groebner import (
     GroebnerBasis,
     _reduced_rows,
@@ -52,7 +57,6 @@ from .groebner import (
 from .polynomials import (
     GREVLEX,
     Polynomial,
-    compositions,
     mono_degree,
     mono_divides,
     mono_lcm,
@@ -105,20 +109,50 @@ def _grevlex_leading_ideal(F: list) -> list:
     return buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
 
 
+def _lift_rows(gens: list, nvars: int, d: int) -> tuple:
+    """The degree-d rows x^v*f_i of the lift, as term dicts, and how many
+    were pruned; ``gens`` holds (degree, terms, grevlex lm) per generator.
+
+    A row x^v*f_i is left out when the grevlex leading monomial of an
+    earlier generator f_j divides x^v, the Koszul form of the F5 criterion
+    (Faugere 2002): with x^v = x^u*lm(f_j), lc(f_j)*x^v*f_i is
+    x^u*f_i*f_j, a sum of rows of f_j, minus x^u*tail(f_j)*f_i, a sum of
+    rows x^w*f_i with x^w below x^v in grevlex.  By induction on (i, x^v)
+    every row lies in the span of the kept ones, so the row space and the
+    pivots are those of all the rows.
+    """
+    rows, pruned, earlier = [], 0, []
+    for degree, terms, lm in gens:
+        e = d - degree
+        if e >= 0:
+            divisors = [m for m in earlier if mono_degree(m) <= e]
+            for v in _shifts(nvars, e):
+                if any(mono_divides(m, v) for m in divisors):
+                    pruned += 1
+                else:
+                    rows.append({tuple(map(add, m, v)): c for m, c in terms.items()})
+        earlier.append(lm)
+    return rows, pruned
+
+
 def lift_groebner(
     F: list, order: WeightedOrder, monomials: list
 ) -> GroebnerBasis:
     """Reconstruct the reduced basis of <F> from its initial monomial ideal.
 
     For each degree d occurring among the claimed minimal generators, the
-    coefficient matrix of all degree-d multiples of F is row reduced with the
-    claimed initial monomials ordered first.  When the claim is consistent
-    the pivots land exactly on that block and each target monomial's row is a
-    reduced basis element; otherwise ``LiftInconsistent`` is raised.  F may
-    be over any field; Z/p^m with m > 1 raises ``ValueError``.  Over Q and
-    Qp the generators are scaled to coprime integers, so the matrix stays
-    integer until each target row is divided by its pivot entry; over other
-    fields the rows hold the field's scalars.
+    coefficient matrix of the degree-d multiples of F is row reduced with
+    the claimed initial monomials ordered first.  Multiples that the
+    Koszul criterion shows redundant are left out (``_lift_rows``), and
+    only the target rows are back-substituted.  When the claim is
+    consistent the pivots land exactly on that block and each target
+    monomial's row is a reduced basis element; otherwise
+    ``LiftInconsistent`` is raised.  F may be over any field; Z/p^m with
+    m > 1 raises ``ValueError``.  Over Q and Qp the generators are scaled
+    to coprime integers, so the matrix stays integer until each target row
+    is divided by its pivot entry; over other fields the rows hold the
+    field's scalars.  ``stats["degrees"]`` maps each lift degree to its
+    rows kept and pruned, its columns and its rank.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -129,28 +163,21 @@ def lift_groebner(
         raise ValueError("monomial/variable mismatch")
     if not field.is_field:
         raise ValueError(f"{field.label} is not a field; the lift needs one")
-    gens = [(f.homogeneous_degree(), _integer_terms(f)[0] if field.integral else f.terms)
-            for f in F]
+    grevlex = GREVLEX._keys.__getitem__
+    gens = []
+    for f in F:
+        terms = _integer_terms(f)[0] if field.integral else f.terms
+        gens.append((f.homogeneous_degree(), terms, max(terms, key=grevlex)))
     targets = minimal_generators(monomials)
     if not targets:
         raise ValueError("no initial-ideal generators supplied")
-    # each degree's monomials, enumerated once and unsorted: the pivot check
-    # pins the rank, so the target rows depend on neither row nor column order
-    by_degree = {}
-
-    def of_degree(d):
-        if d not in by_degree:
-            by_degree[d] = list(compositions(nvars, d))
-        return by_degree[d]
-
-    out = []
+    out, degrees = [], {}
     for d in sorted({mono_degree(m) for m in targets}):
-        block = [m for m in of_degree(d) if any(mono_divides(t, m) for t in targets)]
-        rows = []
-        for degree, terms in gens:
-            for v in of_degree(d - degree):
-                rows.append({tuple(a + b for a, b in zip(m, v)): c
-                             for m, c in terms.items()})
+        # the pivot check pins the rank, so the target rows depend on neither
+        # row nor column order; grevlex-descending columns keep the rows,
+        # whose grevlex leading monomials mostly differ, near echelon form
+        block = sorted(multiples(targets, nvars, d), key=grevlex, reverse=True)
+        rows, pruned = _lift_rows(gens, nvars, d)
         got = _reduced_rows(
             field, nvars, rows, block, [t for t in targets if mono_degree(t) == d], order
         )
@@ -159,8 +186,10 @@ def lift_groebner(
                 f"initial-ideal claim inconsistent in degree {d}: the first "
                 f"{len(block)} columns are not exactly the pivots"
             )
+        degrees[d] = {"rows": len(rows), "pruned": pruned,
+                      "columns": len(set().union(*rows)), "rank": len(block)}
         out.extend(got)
-    return GroebnerBasis(sort_basis(out, order), order)
+    return GroebnerBasis(sort_basis(out, order), order, stats={"degrees": degrees})
 
 
 def _certificate_failure(F: list, claimed: list, lifted: GroebnerBasis,
@@ -260,9 +289,11 @@ def gb_mod_pm(
     modular run and the fallback; ``max_coeff_bits`` bounds only the
     fallback, since nothing else divides over Qp.
     ``stats`` receives p, the exponents tried (``m_values``), ``retries``,
-    ``fallback``, ``final_m`` on success and ``failures``: one dict per
-    failed attempt with its ``m``, its ``stage`` (``modular``, ``lift`` or
-    ``certificate``) and the ``message``.
+    ``fallback``, ``failures``: one dict per failed attempt with its ``m``,
+    its ``stage`` (``modular``, ``lift`` or ``certificate``) and the
+    ``message``, and on success ``final_m`` and ``modular``, the certified
+    attempt's modular-run counters (``buchberger``'s stats, ``hilbert``
+    among them).  The returned basis carries the lift's ``stats``.
     """
     if retry_budget < 0:
         raise ValueError("retry budget must be nonnegative")
@@ -315,6 +346,7 @@ def gb_mod_pm(
             failure = _certificate_failure(F, claimed, lifted, leading_ideal)
             if failure is None:
                 info["final_m"] = m
+                info["modular"] = modular.stats
                 if stats is not None:
                     stats.update(info)
                 return lifted

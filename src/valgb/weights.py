@@ -22,17 +22,24 @@ GREATER = 1
 class WeightedOrder:
     """A weight vector plus a classical term order for breaking ties.
 
-    ``_ranks`` caches (w.m, tiebreak sort key) per monomial; it takes no part
-    in equality or hashing.
+    ``_ranks`` caches (w.m, tiebreak sort key) per monomial and ``_hash``
+    the hash of (weights, tiebreak), which polynomials' leading-term memos
+    look up on every read; neither takes part in equality.  Like the hash of
+    a str, the hash holds for one process only.
     """
 
     weights: tuple
     tiebreak: TermOrder = GREVLEX
-    _ranks: dict = dc_field(init=False, repr=False, compare=False, hash=False)
+    _ranks: dict = dc_field(init=False, repr=False, compare=False)
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         object.__setattr__(self, "_ranks", _RankTable(self.weights, self.tiebreak))
+        object.__setattr__(self, "_hash", hash((self.weights, self.tiebreak)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nvars(self) -> int:

@@ -70,8 +70,8 @@ def test_benchmark_outputs_match_digests(workload):
 @pytest.mark.parametrize("workload, counts", [
     ("cli-mixed", {"division.normal_form_calls": 80, "division.steps": 74,
                    "division.steps_max": 6, "division.breaker_trips": 0}),
-    ("padic-blowup", {"division.normal_form_calls": 60, "division.steps": 684,
-                      "division.steps_max": 47, "division.breaker_trips": 1}),
+    ("padic-blowup", {"division.normal_form_calls": 58, "division.steps": 593,
+                      "division.steps_max": 40, "division.breaker_trips": 1}),
 ])
 def test_traced_division_counts(workload, counts):
     done = subprocess.run(

@@ -28,6 +28,7 @@ from valgb import (
     buchberger,
     cardinality_report,
     contains_monomial,
+    gb_mod_pm,
     leading_term,
     normal_form,
     parse_polynomial,
@@ -36,6 +37,7 @@ from valgb import (
 )
 from valgb import groebner
 from valgb.cardinality import default_orders
+from valgb.groebner import _modpm_normalize
 from valgb.polynomials import mono_divides
 
 from conftest import (
@@ -187,16 +189,40 @@ def test_hilbert_skip_never_fires_on_a_common_factor():
             _never(gens, WeightedOrder(random_weights(rng, field, 3), GREVLEX))
 
 
-def test_hilbert_skip_is_off_without_criteria_and_over_modpm():
+def test_hilbert_skip_is_off_without_criteria():
     rng = random.Random("skip-off")
     hits = 0
     for trial in range(30):
         gens = random_ideal(rng, QQ, 3, max_degree=3, max_gens=3)
         hits += buchberger(gens, zero_order(3)).stats["hilbert"]
         _never(gens, zero_order(3), use_criteria=False)
-        _never(random_ideal(rng, ModPmRing(3, 8), 3, max_degree=3, max_gens=3),
-               zero_order(3))
     assert hits > 0
+
+
+def test_hilbert_skip_is_sound_in_the_modular_run():
+    # on the modpm-d inputs whose first modulus is certified, every pair the
+    # modular run of gb_mod_pm skips has a strong remainder that
+    # _modpm_normalize reads as zero, and stats["modular"] counts the skips
+    rng = random.Random("modpm-d")
+    skipped = certified = 0
+    for trial in range(100):
+        field = Qp([2, 3, 5][trial % 3])
+        gens = random_ideal(rng, field, 3, max_degree=3, max_gens=3, height=50)
+        order = WeightedOrder(random_weights(rng, field, 3), GREVLEX)
+        stats = {}
+        with ElidedDivisions() as hook:
+            gb_mod_pm(gens, order, stats=stats)
+        if len(stats["m_values"]) > 1:
+            continue
+        certified += 1
+        modular = [r for r in hook.remainders if isinstance(r.field, ModPmRing)]
+        assert len(modular) == stats["modular"]["hilbert"], trial
+        zero = zero_order(3, order.tiebreak)
+        assert all(not r or not _modpm_normalize(r, zero) for r in modular), trial
+        # the rest are the certificate's completion over Q
+        assert all(not r for r in hook.remainders if r.field == QQ), trial
+        skipped += len(modular)
+    assert certified > 90 and skipped > 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), Qp(2), Qt()])

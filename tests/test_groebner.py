@@ -484,6 +484,36 @@ def test_integer_s_polynomials_are_the_fraction_ones():
                     assert _integer_terms(got) == _integer_terms(fresh), label
 
 
+@pytest.mark.parametrize("field", [ModPmRing(2, 16), ModPmRing(3, 7), GF(5), Qt()])
+def test_s_polynomials_on_term_dicts_are_the_polynomial_ones(field):
+    # over the non-integral rings the S-polynomial is formed on term dicts;
+    # it equals lc(g)*x^xf*f - lc(f)*x^xg*g formed by Polynomial arithmetic,
+    # also where products of p-power coefficients vanish mod p^m
+    rng = random.Random(f"term-dict-s-poly-{field.label}")
+    p = getattr(field, "p", None) if field.modulus else None
+    vanished = 0
+    for trial in range(300):
+        nvars = rng.randint(1, 3)
+        f, g = (random_homogeneous(rng, field, nvars, rng.randint(1, 3), max_terms=5)
+                for _ in range(2))
+        if p is not None and field.m > 1:
+            f, g = (Polynomial(field, nvars, {m: c * p ** rng.randint(0, field.m)
+                                              for m, c in h.terms.items()})
+                    for h in (f, g))
+            if not f or not g:
+                continue
+        order = WeightedOrder(random_weights(rng, field, nvars), GREVLEX)
+        _, lmf, lcf = leading_term(f, order)
+        _, lmg, lcg = leading_term(g, order)
+        lcm = mono_lcm(lmf, lmg)
+        xf = tuple(a - b for a, b in zip(lcm, lmf))
+        xg = tuple(a - b for a, b in zip(lcm, lmg))
+        want = f.mono_mul(xf, lcg) - g.mono_mul(xg, lcf)
+        assert s_polynomial(f, g, order) == want, trial
+        vanished += len(want.terms) < len(f.terms) + len(g.terms) - 2
+    assert vanished > 0
+
+
 def test_integer_completion_trips_the_breaker_as_the_oracle_does():
     def outcome(run, budget):
         try:

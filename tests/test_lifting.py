@@ -36,11 +36,16 @@ from oracles import gauss_jordan, macaulay_dim
 XYZ = "x,y,z"
 
 
+def _sparse(m):
+    """Dense rows as the sparse rows ``rref`` takes: dicts col -> nonzero entry."""
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
 def test_bareiss_rank_small():
-    assert bareiss_rank([[1, 2], [2, 4]]) == 1
-    assert bareiss_rank([[1, 2], [2, 1]]) == 2
-    assert bareiss_rank([[0, 0], [0, 0]]) == 0
-    assert bareiss_rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]]) == 2
+    assert bareiss_rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert bareiss_rank(_sparse([[1, 2], [2, 1]])) == 2
+    assert bareiss_rank(_sparse([[0, 0], [0, 0]])) == 0
+    assert bareiss_rank(_sparse([[0, 1, 2], [0, 2, 4], [1, 0, 0]])) == 2
 
 
 def test_bareiss_rank_against_fraction_elimination():
@@ -49,9 +54,9 @@ def test_bareiss_rank_against_fraction_elimination():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        _, pivots = rref(m)
+        _, pivots = rref(_sparse(m))
         assert pivots == gauss_jordan(m)[1]
-        assert bareiss_rank(m) == len(pivots)
+        assert bareiss_rank(_sparse(m)) == len(pivots)
 
 
 def _random_fraction_matrix(rng, nrows, ncols, entry=None, zero=Fraction(0)):
@@ -93,17 +98,17 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
         expected = gauss_jordan(m)
         ints = [[int(c * lcm(*(x.denominator for x in row))) for c in row]
                 for row in m]
-        rows, pivots = rref(ints)
+        rows, pivots = rref(_sparse(ints))
         assert ([_dense_rref_row(r, p, len(m[0])) for r, p in zip(rows, pivots)],
                 pivots) == expected, f"trial {trial}"
-        assert bareiss_rank(ints) == len(expected[1]), f"trial {trial}"
+        assert bareiss_rank(_sparse(ints)) == len(expected[1]), f"trial {trial}"
     # over GF(p) and Q(t) the rows hold field scalars and every pivot is one
     for p in (2, 3, 5):
         for trial in range(60):
             m = _random_fraction_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
                                         lambda: rng.randint(0, p - 1), 0)
             m = [[c % p for c in row] for row in m]
-            rows, pivots = rref(m, GF(p))
+            rows, pivots = rref(_sparse(m), GF(p))
             assert ([[r.get(c, 0) for c in range(len(m[0]))] for r in rows],
                     pivots) == gauss_jordan(m, p), f"GF({p}) trial {trial}"
     zero = RatFunc(0)
@@ -115,7 +120,7 @@ def test_rref_and_rank_against_gauss_jordan_oracle():
                                                    for _ in range(rng.randint(0, 1))]),
             zero,
         )
-        rows, pivots = rref(m, Qt())
+        rows, pivots = rref(_sparse(m), Qt())
         assert ([[r.get(c, zero) for c in range(len(m[0]))] for r in rows],
                 pivots) == gauss_jordan(m), f"Q(t) trial {trial}"
 
@@ -152,7 +157,7 @@ def test_macaulay_inputs_must_agree():
 
 def test_rref_prefers_low_valuation_pivots():
     # the first column's 2-adic valuations are 1 and 0
-    rows = [[2, 1], [1, 3]]
+    rows = _sparse([[2, 1], [1, 3]])
     reduced, pivots = rref(rows)
     assert pivots == [0, 1]
     # primitive rows with positive pivots: the identity block is exact
@@ -187,7 +192,7 @@ def test_sparse_rref_on_macaulay_shaped_rows():
     for trial in range(200):
         m = _macaulay_shaped(rng)
         ncols = len(m[0])
-        rows, pivots = rref(m)
+        rows, pivots = rref(_sparse(m))
         expected = gauss_jordan(m)
         assert ([_dense_rref_row(r, p, ncols) for r, p in zip(rows, pivots)],
                 pivots) == expected, f"trial {trial}"
@@ -199,7 +204,8 @@ def test_sparse_rref_on_macaulay_shaped_rows():
 
 def test_rref_empty_and_zero_rows():
     assert rref([]) == ([], [])
-    assert rref([[0, 0]]) == ([], [])
+    assert rref(_sparse([[0, 0]])) == ([], [])
+    assert rref([{}, {1: 0}]) == ([], [])
     assert bareiss_rank([]) == 0
 
 

@@ -229,3 +229,23 @@ def test_rank_table_reads_the_shared_keys():
                 m = tuple(rng.randint(0, 4) for _ in range(3))
                 assert ranks[m] == (weight_dot(weights, m), tiebreak.sort_key(m))
                 assert ranks[m][1] is tiebreak._keys[m]
+
+
+def test_equal_orders_hash_equal_and_share_memo_entries():
+    # the hash is computed once per order; equal orders built apart hash and
+    # compare equal, so a leading-term memo made under one serves the other
+    f = P(Qp(3), "x,y", "x^2 + 3*x*y + 9*y^2")
+    a = WeightedOrder((1, -1), TermOrder("grevlex", (1, 0)))
+    b = WeightedOrder([1, -1], TermOrder("grevlex", [1, 0]))
+    assert a == b and hash(a) == hash(b)
+    memo = leading_term(f, a)
+    assert f._cache[b] is memo and leading_term(f, b) is memo
+    # other tiebreaks are other orders, with their own memo entries
+    c = WeightedOrder((1, -1), TermOrder("lex", (1, 0)))
+    d = WeightedOrder((1, -1), TermOrder("grevlex", (0, 1)))
+    for other in (c, d):
+        assert other != a and hash(other) != hash(a)
+        assert other not in f._cache
+        leading_term(f, other)
+        assert f._cache[other] is not memo
+    assert len({a, b, c, d}) == 3
