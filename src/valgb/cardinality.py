@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .division import _integer_terms
-from .fields import QQ, Qp
+from .division import _over_q
+from .fields import Qp
 from .groebner import buchberger, minimal_generators
 from .polynomials import (
     GREVLEX,
@@ -119,11 +119,6 @@ def is_strongly_stable(generators: list[Monomial], priority: tuple) -> bool:
     return True
 
 
-def _to_trivial(f: Polynomial) -> Polynomial:
-    """f over Q, sharing its integer form."""
-    return _IntegerBacked(QQ, f.nvars, *_integer_terms(f))
-
-
 def cardinality_report(
     e: int,
     orders: list[TermOrder] | None = None,
@@ -156,7 +151,7 @@ def cardinality_report(
 
         standard_sizes = {}
         stable = True
-        ft, gt = _to_trivial(f), _to_trivial(g)
+        ft, gt = _over_q(f), _over_q(g)
         for order in orders:
             worder = WeightedOrder((0, 0, 0), order)
             lms = minimal_generators(

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: gb, nf, initial, tropical-member, bounds, compare-cardinality.
-Exit status 0 on success, 1 on input and usage errors, 2 when an internal
-budget was exhausted (step budget, coefficient breaker, retry budget,
-genericity).
+Exit status 0 on success and 1 on input and usage errors.  It is 2 when a
+step budget or the coefficient breaker trips, when compare-cardinality
+finds no generic instance within its resamples, and when ``gb --verify``
+prints ``verified: false``.  An exhausted ``--retry-budget`` is no error:
+``gb --modpm`` warns on stderr, falls back to the direct run and exits 0
+unless that run trips.
 """
 
 from __future__ import annotations

@@ -75,8 +75,9 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 
-from .fields import INF
-from .polynomials import Monomial, Polynomial, mono_div, mono_divides, mono_mul, poly_to_str
+from .fields import INF, QQ
+from .polynomials import (Monomial, Polynomial, _IntegerBacked, mono_div, mono_divides,
+                          mono_mul, poly_to_str)
 from .weights import WeightedOrder, _leading, leading_term
 
 
@@ -177,6 +178,11 @@ def _integer_terms(f: Polynomial) -> tuple:
         terms = {m: c.numerator * L // (c.denominator * G) for m, c in f.terms.items()}
         cached = f._cache["integer-terms"] = (terms, L, G)
     return cached
+
+
+def _over_q(f: Polynomial) -> Polynomial:
+    """f (over Q or Qp) over the trivially valued Q, sharing its integer form."""
+    return _IntegerBacked(QQ, f.nvars, *_integer_terms(f))
 
 
 def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:

@@ -13,9 +13,10 @@ to the division as an integer-backed polynomial
 from the division's integer remainder, as an integer-backed polynomial
 whose leading data (W = w.lm, lm, lc = 1) is seeded.  So the loop reads
 emptiness, degrees, leading data and equality off integers, and builds no
-Fraction unless a caller reads an element's terms.  The ring picks how a
-new element is normalized: Q(t) and GF(p) scale it to be monic, and Z/p^m
-(m > 1) first strips its p-content and reads truncation noise as zero.
+Fraction unless a caller reads an element's terms.  Every new element is
+normalized from the division's own scalars, u*r for a unit u, and the
+ring picks how: Q(t) and GF(p) scale it to be monic, and Z/p^m (m > 1)
+first strips its p-content and reads truncation noise as zero.
 
 One normal-form rule serves every field.  Buchberger's criterion reads only
 whether a remainder is zero and, if not, its leading monomial, so the loop
@@ -32,12 +33,13 @@ The exception is Z/p^m (m > 1), the modular run of ``lifting.gb_mod_pm``:
 ``_modpm_normalize`` reads the p-content of the whole remainder to tell
 truncation noise from a new element, so the loop keeps strong forms there.
 
-Over Qp the valued division may divide by its own recorded states, and
-against an unreduced basis its rationals can grow far beyond the basis it
-finds (W1's 85-step division reached a 128,600-bit remainder).  So the loop
-interreduces each closed degree once an element has joined, as homogeneous
-Buchberger implementations do, and later pairs divide by a truncated
-reduced basis.
+Over Qp and Q(t) the valued division may divide by its own recorded
+states, and against an unreduced basis its scalars can grow far beyond the
+basis it finds: W1's 85-step division reached a 128,600-bit remainder, and
+a Q(t) ideal in three variables left 27,997-bit scalars for a reduced basis
+with none above 560.  So the loop interreduces each closed degree there
+once an element has joined, as homogeneous Buchberger implementations do,
+and later pairs divide by the reduced basis of the closed degrees.
 
 The Hilbert skip spares the loop divisions that cannot change its basis.
 With the criteria on and r <= n distinct generators, it drops a pair of
@@ -238,25 +240,25 @@ def buchberger(
 
     Pairs are processed lowest lcm degree first (ties by the tiebreak order
     on the lcm, then index).  New remainders are normalized before joining
-    the basis, and the ring picks the normalization.  Over Q and Qp the
-    S-polynomials are formed on the elements' primitive integer forms, and
-    a remainder is made monic from the division's integer remainder.  Over
-    Z/p^m with m > 1 its p-content is stripped first, and a remainder whose
-    content reaches m/2 reads as zero (``_modpm_normalize``).  Over Q(t) and
-    GF(p) it is scaled to be monic.
+    the basis, and the ring picks the normalization; the generators and the
+    remainders pass through the same one, a remainder as the division's
+    u*r.  Over Q and Qp the S-polynomials are formed on the elements'
+    primitive integer forms, and a remainder is made monic from the
+    division's integer remainder.  Over Z/p^m with m > 1 its p-content is
+    stripped first, and a remainder whose content reaches m/2 reads as zero
+    (``_modpm_normalize``).  Over Q(t) and GF(p) it is scaled to be monic.
 
-    Over Qp the closed degrees are interreduced: before the first pair of
-    degree d is popped, if an element has joined since the last such step,
-    the elements of each degree below d not yet reduced are replaced by that
-    degree's reduced elements, and the pairs of degree d and above are
-    queued afresh.  The elements below d are then a truncated basis through
-    degree d-1, so the later divisions run against small tails.  Stats count
-    these steps as ``interreductions``.  The elements come out as the
-    reduced ones in ascending degree, each degree in ``minimal_generators``
-    order, then the input generators not yet reached, in input order.  The
-    rule stays off elsewhere: over Q and GF(p) the division never records a
-    state, and over Q(t) it slowed the bases tried and mended no known
-    blow-up.
+    Wherever the division records states, over Qp and Q(t), the closed
+    degrees are interreduced: before the first pair of degree d is popped,
+    if an element has joined since the last such step, the elements below
+    d are replaced by the reduced basis of the degrees below d, and the
+    pairs of degree d and above are queued afresh.  The elements below d
+    are then a truncated basis through degree d-1, so the later divisions
+    run against small tails.  Stats count these steps as
+    ``interreductions``.  The elements come out as the reduced ones in
+    ascending degree, each degree in ``minimal_generators`` order, then the
+    input generators not yet reached, in input order.  Over Q and GF(p) the
+    division never records a state, and the rule stays off.
 
     Over every field each new element is a weak normal form, so its tail
     stays unreduced; over Z/p^m with m > 1 it is a strong one, whose
@@ -273,12 +275,13 @@ def buchberger(
     pair, divided or skipped, with the pairs popped so far and still queued.
     """
 
-    def normalized(f):
-        if f.field.integral:
-            return _monic_from_integers(f.field, f.nvars, _integer_terms(f)[0], order)
-        if not f.field.is_field:
-            return _modpm_normalize(f, order)
-        return monic(f, order)
+    def normalized(fld, n, terms):
+        # terms is u*f in the division's scalars for a unit u, which changes
+        # neither the monic form over a field nor the p-content over Z/p^m
+        if fld.integral:
+            return _monic_from_integers(fld, n, terms, order)
+        f = Polynomial(fld, n, terms, _clean=True)
+        return monic(f, order) if fld.is_field else _modpm_normalize(f, order)
 
     G: list[Polynomial] = []
     for idx, f in enumerate(generators):
@@ -291,14 +294,14 @@ def buchberger(
                 f"generator {idx} is not homogeneous; bases over valued fields "
                 "require homogeneous input"
             )
-        nf = normalized(f)
+        terms = _integer_terms(f)[0] if f.field.integral else f.terms
+        nf = normalized(f.field, f.nvars, terms)
         if nf.is_zero() or any(nf == g for g in G):
             continue
         G.append(nf)
     if not G:
         raise ValueError("need at least one nonzero generator")
     fld, n = G[0].field, G[0].nvars
-    integral = fld.integral
     weak = fld.is_field  # the loop reads only a remainder's leading monomial
 
     lms: list[Monomial] = [leading_term(g, order)[1] for g in G]
@@ -318,9 +321,8 @@ def buchberger(
     for j in range(len(G)):
         push_pairs(j)
 
-    interreducing = integral and not fld.trivially_valued  # Qp
-    reduced_below = 0  # the elements of lower degree are reduced and come first
-    joined = None  # the degree of the elements that joined since then
+    interreducing = fld.is_field and not fld.trivially_valued  # Qp and Q(t)
+    joined = None  # the degree of the elements that joined since the last one
     counters = {"pairs": 0, "b1": 0, "b2": 0, "hilbert": 0, "reductions_to_zero": 0,
                 "new_elements": 0, "interreductions": 0}
 
@@ -344,15 +346,12 @@ def buchberger(
         return len(got[2]) == got[0]
 
     def interreduce(d: int):
-        nonlocal reduced_below
         closed = [k for k, lm in enumerate(lms) if mono_degree(lm) < d]
         closed_lms = [lms[k] for k in closed]
-        kept = [G[k] for k in closed if mono_degree(lms[k]) < reduced_below]
-        kept += _reduce_by_elimination([G[k] for k in closed], closed_lms,
-                                       minimal_generators(closed_lms), order, reduced_below)
-        G[:] = kept + [g for g, lm in zip(G, lms) if mono_degree(lm) >= d]
+        above = [g for g, lm in zip(G, lms) if mono_degree(lm) >= d]
+        G[:] = _reduce_by_elimination([G[k] for k in closed], closed_lms,
+                                      minimal_generators(closed_lms), order) + above
         lms[:] = [leading_term(g, order)[1] for g in G]
-        reduced_below = d
         heap.clear()
         pending.clear()
         for j in range(len(G)):
@@ -376,14 +375,11 @@ def buchberger(
         else:
             s = s_polynomial(G[i], G[j], order)
             r = None
-            if s:
-                result = normal_form(s, G, order, max_steps=max_steps,
-                                     max_coeff_bits=max_coeff_bits, weak=weak)
-                if result._r:  # u*remainder in the division's scalars
-                    if integral:
-                        r = _monic_from_integers(fld, n, result._r, order)
-                    else:  # may declare the remainder negligible
-                        r = normalized(result.remainder)
+            if s:  # u*remainder in the division's scalars
+                r = normal_form(s, G, order, max_steps=max_steps,
+                                max_coeff_bits=max_coeff_bits, weak=weak)._r
+            if r:
+                r = normalized(fld, n, r)  # Z/p^m may read it as zero
             if not r:
                 counters["reductions_to_zero"] += 1
             else:
@@ -449,10 +445,9 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list,
     return out
 
 
-def _reduce_by_elimination(elements: list, lms: list, targets: list, order: WeightedOrder,
-                           lowest: int = 0) -> list:
-    """Reduced elements for the targets of degree ``lowest`` or more, one
-    degree at a time; targets of lower degree only serve as divisors.
+def _reduce_by_elimination(elements: list, lms: list, targets: list,
+                           order: WeightedOrder) -> list:
+    """The reduced element of each target, one degree at a time.
 
     The rows start with the element whose leading monomial is each target;
     every leading-ideal monomial met in a row that has no row yet gets one
@@ -478,8 +473,6 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list, order: Weig
         monic_at = {lm for lm, g in owner.items() if g.terms[lm] == one}
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
-        if d < lowest:
-            continue
         of_degree = [t for t in targets if mono_degree(t) == d]
         divisors = [t for t in targets if mono_degree(t) <= d]
         block = list(of_degree)  # the rows' leading monomials, in row order

@@ -43,8 +43,9 @@ from functools import cache, partial
 from math import gcd
 from operator import add
 
-from .division import CoefficientBlowup, StepBudgetExceeded, _integer_terms, primitive_factor
-from .fields import ModPmRing, QQ, QpField, padic_valuation
+from .division import (CoefficientBlowup, StepBudgetExceeded, _integer_terms, _over_q,
+                       primitive_factor)
+from .fields import ModPmRing, QpField, padic_valuation
 from .hilbert import _shifts, generic_dims, monomial_ideal_dim, multiples
 from .groebner import (
     GroebnerBasis,
@@ -105,7 +106,7 @@ def _grevlex_leading_ideal(F: list) -> list:
     over the trivially valued Q when F is over Q or Qp."""
     field, nvars = _field_and_nvars(F)
     if field.integral:
-        F = [Polynomial(QQ, nvars, f.terms, _clean=True) for f in F]
+        F = [_over_q(f) for f in F]
     return buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
 
 

@@ -31,6 +31,7 @@ from valgb import (
 )
 from valgb.cardinality import default_orders, sample_pair
 from valgb.groebner import GroebnerBasis, is_basis_of, minimal_generators
+from valgb.lifting import lift_groebner
 from valgb.polynomials import compositions, mono_divides, mono_lcm
 from valgb.weights import leading_term
 
@@ -601,18 +602,36 @@ def test_nine_variable_no_criteria_run_trips_the_breaker():
 
 
 def test_qt_degree_growth_trips_the_breaker():
-    # this run's scalars grow in t-degree far more than in coefficient width:
-    # one division's numerator and denominator held over 400 coefficients,
-    # none wider than 218 bits.  Sized by the widest coefficient it ran on for
-    # seconds; sized by all of them it stops after 16 steps of a strong normal
-    # form, and after 10 of the weak one the loop now takes
+    # this run's scalars grow in t-degree far more than in coefficient width;
+    # against the interreduced basis it stays within 3000 bits, and a tighter
+    # budget keeps the breaker covered over Q(t)
     gens = polys(Qt(), "x,y,z",
                  "(1+t)*x^2+(3+t^2)/(1-t)*y*z+t^3*z^2",
                  "(2-t)*x*y-(1+t^4)*y^2+t*z^2",
                  "x*z+(t+5)*y*z+(8-t^2)*z^2")
+    order = WeightedOrder((1, 2, 0), GREVLEX)
+    gb = buchberger(gens, order, max_coeff_bits=3000)
+    assert gb.stats["interreductions"] > 0
+    red = reduce_basis(gb)
+    assert red.elements == lift_groebner(gens, order, red.leading_monomials()).elements
     with pytest.raises(CoefficientBlowup) as exc:
-        buchberger(gens, WeightedOrder((1, 2, 0), GREVLEX), max_coeff_bits=3000)
-    assert str(exc.value) == "leading coefficient exceeded 3000 bits after 10 steps"
+        buchberger(gens, order, max_coeff_bits=1500)
+    assert str(exc.value) == "leading coefficient exceeded 1500 bits after 2 steps"
+
+
+def test_qt_interreduction_keeps_the_scalars_small():
+    # the n = 3 Q(t) ideal at seed 0 of the ROADMAP's family: against an
+    # unreduced basis the loop held 27,997-bit scalars; interreduced, it
+    # completes within 20000 bits
+    gens = polys(Qt(), XYZ,
+                 "3*x^2-x*y+(2+t-t^2)*x*z+4*t*z^2",
+                 "-4*x^2+(4-3*t-t^2)*x*y+(2*t+3*t^2)*y^2+4*t*x*z",
+                 "-4*x*y+(1+5*t+5*t^2)*x*z+4*y*z-(1+5*t-3*t^2)*z^2")
+    order = WeightedOrder((1, 0, -1), GREVLEX)
+    gb = buchberger(gens, order, max_coeff_bits=20000)
+    assert gb.stats["interreductions"] > 0
+    red = reduce_basis(gb)
+    assert red.elements == lift_groebner(gens, order, red.leading_monomials()).elements
 
 
 def test_w1_completes_within_a_small_bit_budget():
@@ -637,8 +656,11 @@ def test_nine_variable_basis_is_never_interreduced():
     assert stats["new_elements"] == 0 and stats["interreductions"] == 0
 
 
-def test_interreduction_is_only_over_qp():
-    joined = 0
+def test_interreduction_is_only_where_the_division_records_states():
+    # over Q and GF(p) the division records no state and the loop never
+    # interreduces; over Q(t) it does, and the basis still reduces to the
+    # one the lift rebuilds from the generators
+    joined = interreduced = 0
     for label, gens, order in completion_suite():
         if gens[0].field == QQ:
             stats = buchberger(gens, order).stats
@@ -649,10 +671,17 @@ def test_interreduction_is_only_over_qp():
         for trial in range(20):
             gens = random_ideal(rng, field, 3, max_degree=2, max_gens=3)
             weights = (0, 0, 0) if field != Qt() else random_weights(rng, field, 3)
-            stats = buchberger(gens, WeightedOrder(weights, GREVLEX)).stats
-            assert stats["interreductions"] == 0, (field, trial)
-            joined += stats["new_elements"] > 0
-    assert joined > 50
+            order = WeightedOrder(weights, GREVLEX)
+            gb = buchberger(gens, order)
+            joined += gb.stats["new_elements"] > 0
+            if field != Qt():
+                assert gb.stats["interreductions"] == 0, (field, trial)
+                continue
+            interreduced += gb.stats["interreductions"] > 0
+            red = reduce_basis(gb)
+            lifted = lift_groebner(gens, order, red.leading_monomials())
+            assert red.elements == lifted.elements, trial
+    assert joined > 50 and interreduced > 0
 
 
 def test_completion_builds_no_fraction_terms(monkeypatch):
