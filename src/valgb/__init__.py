@@ -45,14 +45,10 @@ from .division import (
     DivisionResult,
     StepBudgetExceeded,
     normal_form,
-    support_count_ecart,
 )
 from .groebner import (
-    CriticalPair,
     GroebnerBasis,
     buchberger,
-    criterion_b1,
-    criterion_b2,
     minimal_generators,
     monic,
     reduce_basis,
@@ -61,7 +57,6 @@ from .groebner import (
 )
 from .lifting import (
     LiftInconsistent,
-    clear_denominators,
     gb_mod_pm,
     hilbert_dim,
     lift_groebner,

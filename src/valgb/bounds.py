@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lifting import clear_denominators, hilbert_dim
+from .lifting import hilbert_dim
+from .polynomials import loop_form
 
 
 # D >= 2*(3/2)^k for k = 2^(n-2), so from 17 variables on D has more than
@@ -88,12 +89,16 @@ def effective_valuation_bound(F: list, p: int, degree_cap: int = 64) -> BoundRep
     capped at ``degree_cap``; a capped evaluation is flagged as truncated and
     is a valid bound only when the basis degrees stay at or below the cap.
     """
-    F = [clear_denominators(f) for f in F if not f.is_zero()]
+    F = [f for f in F if not f.is_zero()]
     if not F:
         return BoundReport(0, 0, 0, 0, 0, 0, Fraction(0), False)
+    forms = [loop_form(f) for f in F]
+    if any(num is None for _, num, _ in forms):
+        raise ValueError("the valuation bound needs rational coefficients")
     nvars = F[0].nvars
     delta = max(f.homogeneous_degree() for f in F)
-    C = max(abs(int(c)) for f in F for c in f.terms.values())
+    # C is read off the primitive integer forms
+    C = max(abs(c) for terms, _, _ in forms for c in terms.values())
     # D > delta always, so the evaluation is truncated exactly when D > cap
     truncated = dube_exceeds(nvars, delta, degree_cap)
     D = dube_degree_bound(nvars, delta) if nvars <= MAX_BUILT_NVARS else None

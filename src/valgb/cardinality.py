@@ -16,17 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
 
-from .division import _over_q
 from .fields import Qp
 from .groebner import buchberger, minimal_generators
 from .polynomials import (
     GREVLEX,
     Monomial,
-    Polynomial,
     TermOrder,
-    _IntegerBacked,
+    _over_q,
+    loop_polynomial,
     mono_divides,
     monomials_of_degree,
 )
@@ -72,14 +70,7 @@ def sample_pair(e: int, rng: random.Random, height: int = 20):
     evens = [c for c in range(-height, height + 1) if c % 2 == 0 and c != 0]
     f_terms = {m: rng.choice(odds if m == x1d else evens) for m in monos}
     g_terms = {m: rng.choice(odds if m == x2e3e else evens) for m in monos}
-    return _integer_backed(field, f_terms), _integer_backed(field, g_terms)
-
-
-def _integer_backed(field, terms: dict) -> Polynomial:
-    """The polynomial with these nonzero integer coefficients, held by its
-    primitive integer form, so no Fraction is built until its terms are read."""
-    c = gcd(*terms.values())
-    return _IntegerBacked(field, 3, {m: v // c for m, v in terms.items()}, 1, c)
+    return loop_polynomial(field, 3, f_terms, 1, 1), loop_polynomial(field, 3, g_terms, 1, 1)
 
 
 def default_orders(e: int) -> list[TermOrder]:

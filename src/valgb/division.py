@@ -28,13 +28,14 @@ u <- alpha*u - beta*u_k and no scalar is inverted (u stays a unit because
 beta*u_k/(alpha*u) has positive valuation).  The scalars and the upkeep
 depend on the domain:
 
-* over Q and Qp the dividend and the divisors are read as their primitive
-  integer forms (memoized once, or already held by the loop's
-  integer-backed elements), and the whole state (u, q, r) is held in
-  integers: alpha = c/d and beta = a/d with d = gcd(a, c), and after each
-  step the state is divided by its joint content, the gcd of u and of every
-  coefficient of q and r, so a step does no Fraction arithmetic (only the
-  trace and a breaker test near its budget build one);
+* over Q and Qp the dividend and the divisors are read in their loop form
+  (``polynomials.loop_form``), the primitive integer form that the loop's
+  integer-backed elements hold from the start, and the whole state
+  (u, q, r) is held in integers: alpha = c/d and beta = a/d with
+  d = gcd(a, c), and after each step the state is divided by its joint
+  content, the gcd of u and of every coefficient of q and r, so a step does
+  no Fraction arithmetic (only the trace and a breaker test near its budget
+  build one);
 * over Z/p^m, alpha = 1 and beta = a/c, and after a recorded-state step the
   state is rescaled back to u = 1, because division by a non-unit there is
   exact only modulo a smaller power of p, so the next quotient coefficient
@@ -57,8 +58,8 @@ only lm(r) is sure to avoid the divisors' leading monomials.  That is all
 Buchberger's criterion reads (Greuel-Pfister), so the completion loop asks
 for it over every field.  The strong form, the default, serves the readers
 of the whole remainder: ``valgb nf``, which prints the division
-certificate, and the loop over Z/p^m (m > 1), whose ``_modpm_normalize``
-reads the remainder's p-content.
+certificate, and the loop over Z/p^m (m > 1), whose normalization
+(``polynomials.loop_element``) reads the remainder's p-content.
 
 Every state in T shares the dividend's degree, so a recorded state divides
 only at its own leading monomial; recorded states are kept in a dict keyed
@@ -73,12 +74,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd, lcm
+from math import gcd
 
-from .fields import INF, QQ
-from .polynomials import (Monomial, Polynomial, _IntegerBacked, mono_div, mono_divides,
+from .fields import INF
+from .polynomials import (Monomial, Polynomial, _leading, loop_form, mono_div, mono_divides,
                           mono_mul, poly_to_str)
-from .weights import WeightedOrder, _leading, leading_term
+from .weights import WeightedOrder, leading_term
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -159,30 +160,6 @@ class _Divisor:
     index: int
     r: dict | None = None
     u: object = None
-
-
-def primitive_factor(f: Polynomial) -> Fraction:
-    """The positive s that makes s*f a primitive integer polynomial (f over Q)."""
-    return Fraction(*_integer_terms(f)[1:])
-
-
-def _integer_terms(f: Polynomial) -> tuple:
-    """(s*f as a primitive integer term dict, num, den) for the positive
-    s = num/den in lowest terms, memoized on the (immutable) polynomial; an
-    integer-backed polynomial holds it from the start."""
-    cached = f._cache.get("integer-terms")
-    if cached is None:
-        cs = f.terms.values()
-        # coprime: a prime dividing every numerator divides no denominator
-        L, G = lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))
-        terms = {m: c.numerator * L // (c.denominator * G) for m, c in f.terms.items()}
-        cached = f._cache["integer-terms"] = (terms, L, G)
-    return cached
-
-
-def _over_q(f: Polynomial) -> Polynomial:
-    """f (over Q or Qp) over the trivially valued Q, sharing its integer form."""
-    return _IntegerBacked(QQ, f.nvars, *_integer_terms(f))
 
 
 def _combine(alpha, A: dict, beta, B: dict, xv, mod) -> dict:
@@ -271,7 +248,6 @@ def normal_form(
     mod = fld.modulus
 
     # the loop's scalars: integers s*g over Q and Qp, field scalars elsewhere
-    in_loop_scalars = _integer_terms if fld.integral else lambda g: (g.terms, None, None)
     originals: list[_Divisor] = []
     factors = []
     for i, g in enumerate(divisors):
@@ -282,7 +258,7 @@ def normal_form(
         if not g.is_homogeneous():
             raise ValueError(f"divisor {i} is not homogeneous")
         _, lm, _ = leading_term(g, order)
-        terms, num, den = in_loop_scalars(g)
+        terms, num, den = loop_form(g)
         originals.append(_Divisor(terms, lm, terms[lm], i))
         factors.append((num, den))
 
@@ -290,7 +266,7 @@ def normal_form(
     val = fld.val
     if fld.integral:
         # the state is held for the dividend s_f*f, so the unit is U*s_f
-        Q, num_f, den_f = in_loop_scalars(f) if f else ({}, 1, 1)
+        Q, num_f, den_f = loop_form(f) if f else ({}, 1, 1)
         U = 1
 
         def ratio(a, c):

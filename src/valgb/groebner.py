@@ -5,18 +5,20 @@ of its elements generate the full initial ideal; equivalently every
 S-polynomial of two elements divides to zero against G.  The reduced basis
 (minimal, monic, tail-reduced) is unique for a fixed ideal and order.
 
-Valued division reduces S-polynomials.  Over Q and Qp the completion loop
-works on integers: each element is read as its memoized primitive integer
-form, ``s_polynomial`` forms each S-polynomial on those forms and hands it
-to the division as an integer-backed polynomial
-(``polynomials._IntegerBacked``), and a new element is made monic once,
-from the division's integer remainder, as an integer-backed polynomial
-whose leading data (W = w.lm, lm, lc = 1) is seeded.  So the loop reads
-emptiness, degrees, leading data and equality off integers, and builds no
-Fraction unless a caller reads an element's terms.  Every new element is
-normalized from the division's own scalars, u*r for a unit u, and the
-ring picks how: Q(t) and GF(p) scale it to be monic, and Z/p^m (m > 1)
-first strips its p-content and reads truncation noise as zero.
+Valued division reduces S-polynomials.  The loop computes on the loop
+form that ``polynomials`` owns (``loop_form``): over Q and Qp each element
+is read as its primitive integer form, which it holds from the start, and
+over every other ring as its terms.  ``s_polynomial`` forms each
+S-polynomial on those forms and hands it to the division in its own loop
+form, and every element joins through one maker, ``loop_element``: the
+generators, each remainder (the division's own scalars, u*r for a unit u)
+and each row that an elimination reduces.  The maker scans the terms once
+for the leading monomial and records the element's leading data
+(W = w.lm, lm, lc = 1); the ring picks the normalization: over a field the
+element is made monic, integer-backed over Q and Qp, and Z/p^m (m > 1)
+first strips its p-content and reads truncation noise as zero.  So over Q
+and Qp the loop reads emptiness, degrees, leading data and equality off
+integers, and builds no Fraction unless a caller reads an element's terms.
 
 One normal-form rule serves every field.  Buchberger's criterion reads only
 whether a remainder is zero and, if not, its leading monomial, so the loop
@@ -30,8 +32,8 @@ only where the strong one carries the tail on past that step into the bit
 breaker.  That tail work is where the strong form blew up on random
 quadrics over Qp, and ``reduce_basis`` reads tails off its RREF anyway.
 The exception is Z/p^m (m > 1), the modular run of ``lifting.gb_mod_pm``:
-``_modpm_normalize`` reads the p-content of the whole remainder to tell
-truncation noise from a new element, so the loop keeps strong forms there.
+the maker reads the p-content of the whole remainder to tell truncation
+noise from a new element, so the loop keeps strong forms there.
 
 Over Qp and Q(t) the valued division may divide by its own recorded
 states, and against an unreduced basis its scalars can grow far beyond the
@@ -64,26 +66,25 @@ Faugere 1999; ``linalg.rref``), on primitive integer rows over Q and Qp, so
 its entries are ratios of minors, and on rows of field scalars over GF(p)
 and Q(t).  The rows go to ``rref`` as dicts column -> entry, and only the
 target rows are back-substituted; the other pivot rows only serve the
-elimination.  Over Q and Qp each returned row is integer-backed, with its
-leading data seeded once a scan of its integers confirms the leading
-monomial.  The lift (``lifting.lift_groebner``) reads its rows with the
-same routine.
+elimination.  Each returned row joins through the maker, integer-backed
+over Q and Qp, with its leading data recorded from a scan of the row.  The
+lift (``lifting.lift_groebner``) reads its rows with the same routine.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from math import gcd
 
-from .division import _combine, _integer_terms, normal_form
-from .fields import INF
+from .division import _combine, normal_form
 from .hilbert import generic_dims, multiples
 from .linalg import rref
 from .polynomials import (
     Monomial,
     Polynomial,
-    _IntegerBacked,
+    loop_element,
+    loop_form,
+    loop_polynomial,
     minimal_generators,
     mono_degree,
     mono_divides,
@@ -91,7 +92,7 @@ from .polynomials import (
     mono_lcm,
     mono_mul,
 )
-from .weights import WeightedOrder, _leading, leading_term
+from .weights import WeightedOrder, leading_term
 
 
 @dataclass
@@ -126,55 +127,27 @@ class CriticalPair:
 def s_polynomial(f: Polynomial, g: Polynomial, order: WeightedOrder) -> Polynomial:
     """lc(g) * (lcm/lm(f)) * f  -  lc(f) * (lcm/lm(g)) * g, computed exactly.
 
-    Over Q and Qp it is formed on the memoized primitive integer forms of f
-    and g and returned integer-backed; elsewhere on the term dicts, with the
-    products reduced mod p^m over Z/p^m and GF(p)."""
+    It is formed on the loop forms of f and g (``polynomials.loop_form``),
+    with the products reduced mod p^m over Z/p^m and GF(p), and returned
+    with its own loop form: integer-backed over Q and Qp."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial is undefined")
-    _, lmf, lcf = leading_term(f, order)
-    _, lmg, lcg = leading_term(g, order)
+    _, lmf, _ = leading_term(f, order)
+    _, lmg, _ = leading_term(g, order)
     lcm = mono_lcm(lmf, lmg)
     xf, xg = mono_div(lcm, lmf), mono_div(lcm, lmg)
-    if not f.field.integral:
-        mod = f.field.modulus
-        S = {}
-        for m, c in f.terms.items():
-            c = c * lcg if mod is None else c * lcg % mod
-            if c:  # a product can vanish mod p^m
-                S[mono_mul(m, xf)] = c
-        S = _combine(None, S, lcf, g.terms, xg if any(xg) else None, mod)
-        return Polynomial(f.field, f.nvars, S, _clean=True)
-    (F, nf, df), (G, ng, dg) = _integer_terms(f), _integer_terms(g)
+    (F, nf, df), (G, ng, dg) = loop_form(f), loop_form(g)
     a, b = F[lmf], G[lmg]
-    d = gcd(a, b)
-    # (b/d)*x^xf*F - (a/d)*x^xg*G = (sf*sg/d)*S, as F = sf*f and a = sf*lc(f)
-    S = {mono_mul(m, xf): b // d * c for m, c in F.items()}
-    S = _combine(None, S, a // d, G, xg if any(xg) else None, None)
-    if not S:
-        return Polynomial.zero(f.field, f.nvars)
-    c = gcd(*S.values())
-    num, den = nf * ng, df * dg * d * c  # the scale sf*sg/(d*c)
-    e = gcd(num, den)
-    return _IntegerBacked(f.field, f.nvars, {m: v // c for m, v in S.items()},
-                          num // e, den // e)
-
-
-def _monic(fld, n: int, terms: dict, lm: Monomial, order: WeightedOrder) -> Polynomial:
-    """terms/terms[lm], integer-backed, for a primitive integer term dict
-    whose leading monomial under the order is lm and whose entry there is
-    positive; its leading data (W = w.lm, lm, lc = 1) is seeded."""
-    f = _IntegerBacked(fld, n, terms, terms[lm], 1)
-    f._cache[order] = (order._ranks[lm][0], lm, fld.one())
-    return f
-
-
-def _monic_from_integers(fld, n: int, terms: dict, order: WeightedOrder) -> Polynomial:
-    """The monic multiple of a nonzero integer term dict over Q or Qp."""
-    _, lm = _leading(terms, fld, order)
-    c = gcd(*terms.values())
-    if terms[lm] < 0:
-        c = -c
-    return _monic(fld, n, {m: v // c for m, v in terms.items()}, lm, order)
+    mod = f.field.modulus
+    S = {}
+    for m, c in F.items():
+        c = b * c if mod is None else b * c % mod
+        if c:  # a product can vanish mod p^m
+            S[mono_mul(m, xf)] = c
+    S = _combine(None, S, a, G, xg if any(xg) else None, mod)
+    if nf is not None:  # b*x^xf*F - a*x^xg*G is sf*sg times the S-polynomial
+        nf, df = nf * ng, df * dg
+    return loop_polynomial(f.field, f.nvars, S, nf, df)
 
 
 def criterion_b1(pair: CriticalPair) -> bool:
@@ -206,27 +179,6 @@ def monic(f: Polynomial, order: WeightedOrder) -> Polynomial:
     return f.scale(f.field.inv(lc))
 
 
-def _modpm_normalize(f: Polynomial, order: WeightedOrder) -> Polynomial:
-    """Strip p-content; declare noise-level elements zero.
-
-    A reduction that vanishes over Q shows up mod p^m as a polynomial whose
-    every coefficient carries at least m minus a bounded number of p-powers,
-    so stripping would promote pure truncation noise to a fake basis element.
-    Anything with content at m/2 or above is treated as a reduction to zero;
-    false zeros are caught by the lift or its certificate and a larger m.
-    """
-    ring = f.field
-    s = min(ring.val(c) for c in f.terms.values())
-    if s is INF or s >= max(1, ring.m // 2):
-        return Polynomial.zero(ring, f.nvars)
-    if s:
-        q = ring.p**s
-        f = Polynomial(
-            ring, f.nvars, {m: c // q for m, c in f.terms.items()}, _clean=True
-        )
-    return monic(f, order)
-
-
 def buchberger(
     generators: list,
     order: WeightedOrder,
@@ -239,14 +191,14 @@ def buchberger(
     """Complete homogeneous generators to a basis under a weighted order.
 
     Pairs are processed lowest lcm degree first (ties by the tiebreak order
-    on the lcm, then index).  New remainders are normalized before joining
-    the basis, and the ring picks the normalization; the generators and the
-    remainders pass through the same one, a remainder as the division's
-    u*r.  Over Q and Qp the S-polynomials are formed on the elements'
-    primitive integer forms, and a remainder is made monic from the
-    division's integer remainder.  Over Z/p^m with m > 1 its p-content is
-    stripped first, and a remainder whose content reaches m/2 reads as zero
-    (``_modpm_normalize``).  Over Q(t) and GF(p) it is scaled to be monic.
+    on the lcm, then index).  The generators and the remainders, a
+    remainder as the division's u*r, join the basis through one maker,
+    ``polynomials.loop_element``, and the ring picks the normalization.
+    Over a field the element is made monic: over Q and Qp the S-polynomials
+    are formed on the elements' primitive integer forms, and a remainder is
+    made monic from the division's integer remainder.  Over Z/p^m with
+    m > 1 its p-content is stripped first, and a remainder whose content
+    reaches m/2 reads as zero.
 
     Wherever the division records states, over Qp and Q(t), the closed
     degrees are interreduced: before the first pair of degree d is popped,
@@ -262,7 +214,7 @@ def buchberger(
 
     Over every field each new element is a weak normal form, so its tail
     stays unreduced; over Z/p^m with m > 1 it is a strong one, whose
-    p-content ``_modpm_normalize`` reads (see the module docstring).  With
+    p-content the maker reads (see the module docstring).  With
     at most n distinct generators in n variables, a pair that survives B1
     and B2 is skipped when the leading monomials already fill its degree d
     up to c_d; over Z/p^m too, where the certificate of the modular run's
@@ -274,15 +226,6 @@ def buchberger(
     pair is divided.  ``progress(done, remaining)`` is called once per popped
     pair, divided or skipped, with the pairs popped so far and still queued.
     """
-
-    def normalized(fld, n, terms):
-        # terms is u*f in the division's scalars for a unit u, which changes
-        # neither the monic form over a field nor the p-content over Z/p^m
-        if fld.integral:
-            return _monic_from_integers(fld, n, terms, order)
-        f = Polynomial(fld, n, terms, _clean=True)
-        return monic(f, order) if fld.is_field else _modpm_normalize(f, order)
-
     G: list[Polynomial] = []
     for idx, f in enumerate(generators):
         if f.nvars != order.nvars:
@@ -294,8 +237,7 @@ def buchberger(
                 f"generator {idx} is not homogeneous; bases over valued fields "
                 "require homogeneous input"
             )
-        terms = _integer_terms(f)[0] if f.field.integral else f.terms
-        nf = normalized(f.field, f.nvars, terms)
+        nf = loop_element(f.field, f.nvars, loop_form(f)[0], order)
         if nf.is_zero() or any(nf == g for g in G):
             continue
         G.append(nf)
@@ -379,7 +321,7 @@ def buchberger(
                 r = normal_form(s, G, order, max_steps=max_steps,
                                 max_coeff_bits=max_coeff_bits, weak=weak)._r
             if r:
-                r = normalized(fld, n, r)  # Z/p^m may read it as zero
+                r = loop_element(fld, n, r, order)  # Z/p^m may read it as zero
             if not r:
                 counters["reductions_to_zero"] += 1
             else:
@@ -409,13 +351,14 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list,
     The rows hold integers over Q and Qp and the field's scalars otherwise
     (``linalg.rref`` takes the row operation from the field); they go to
     ``rref`` as sparse rows, and only the target rows are back-substituted.
-    Returns None unless the pivots are exactly the block; otherwise row t
-    of the RREF, divided by its pivot entry, is the element for target t
-    (the targets lie in the block).  Over Q and Qp it is integer-backed,
-    and its leading data under the order is seeded when a scan of the row
-    confirms t as its leading monomial (the lift's certificate reads it, so
-    it is never assumed).  The RREF is unique, so neither the row order nor
-    the order of the columns within and after the block matters.
+    Returns None unless the pivots are exactly the block; otherwise the
+    element for target t (the targets lie in the block) is the maker's
+    element of row t of the RREF (``polynomials.loop_element``): row t
+    divided by its pivot entry when t is its leading monomial.  The maker
+    scans the row for its leading monomial, so a wrong claim of the lift
+    shows there, where its certificate reads it.  The RREF is unique, so
+    neither the row order nor the order of the columns within and after the
+    block matters.
     """
     index = {m: i for i, m in enumerate(block)}
     sparse = []
@@ -431,18 +374,8 @@ def _reduced_rows(field, nvars: int, rows: list, block: list, targets: list,
     reduced, pivots = rref(sparse, field, {index[t] for t in targets})
     if pivots != list(range(len(block))):
         return None
-    out = []
-    for t in targets:
-        row = reduced[index[t]]
-        terms = {columns[c]: v for c, v in row.items()}
-        if field.integral:  # a primitive row with a positive pivot entry
-            if _leading(terms, field, order)[1] == t:
-                out.append(_monic(field, nvars, terms, t, order))
-            else:  # a wrong claim of the lift, which its certificate reads
-                out.append(_IntegerBacked(field, nvars, terms, terms[t], 1))
-        else:  # the pivot entry is already one
-            out.append(Polynomial(field, nvars, terms, _clean=True))
-    return out
+    return [loop_element(field, nvars, {columns[c]: v for c, v in reduced[index[t]].items()},
+                         order) for t in targets]
 
 
 def _reduce_by_elimination(elements: list, lms: list, targets: list,
@@ -462,15 +395,9 @@ def _reduce_by_elimination(elements: list, lms: list, targets: list,
     owner = {}
     for g, lm in zip(elements, lms):
         owner.setdefault(lm, g)
-    if field.integral:
-        forms = {lm: _integer_terms(g) for lm, g in owner.items()}
-        reducer = {lm: terms for lm, (terms, _, _) in forms.items()}
-        # terms/s is monic at lm when terms[lm] = s = num/den
-        monic_at = {lm for lm, (terms, num, den) in forms.items() if terms[lm] * den == num}
-    else:
-        reducer = {lm: g.terms for lm, g in owner.items()}
-        one = field.one()
-        monic_at = {lm for lm, g in owner.items() if g.terms[lm] == one}
+    reducer = {lm: loop_form(g)[0] for lm, g in owner.items()}
+    one = field.one()
+    monic_at = {lm for lm, g in owner.items() if leading_term(g, order)[2] == one}
     out = []
     for d in sorted({mono_degree(t) for t in targets}):
         of_degree = [t for t in targets if mono_degree(t) == d]

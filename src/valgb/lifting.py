@@ -43,8 +43,7 @@ from functools import cache, partial
 from math import gcd
 from operator import add
 
-from .division import (CoefficientBlowup, StepBudgetExceeded, _integer_terms, _over_q,
-                       primitive_factor)
+from .division import CoefficientBlowup, StepBudgetExceeded
 from .fields import ModPmRing, QpField, padic_valuation
 from .hilbert import _shifts, generic_dims, monomial_ideal_dim, multiples
 from .groebner import (
@@ -58,6 +57,8 @@ from .groebner import (
 from .polynomials import (
     GREVLEX,
     Polynomial,
+    _over_q,
+    loop_form,
     mono_degree,
     mono_divides,
     mono_lcm,
@@ -68,15 +69,6 @@ from .weights import WeightedOrder, weight_dot
 class LiftInconsistent(ValueError):
     """The claimed initial-ideal generators cannot index an identity block;
     for a mod-p^m run this signals that the modulus exponent was too small."""
-
-
-def clear_denominators(f: Polynomial) -> Polynomial:
-    """Integer-primitive rescaling: coefficients become coprime integers."""
-    if f.is_zero():
-        return f
-    if not f.field.integral:
-        raise ValueError("integer clearing needs rational coefficients")
-    return f.scale(primitive_factor(f))
 
 
 def _field_and_nvars(F: list):
@@ -104,10 +96,9 @@ def hilbert_dim(F: list, d: int) -> int:
 def _grevlex_leading_ideal(F: list) -> list:
     """The leading monomials of one grevlex basis of <F> with weight zero,
     over the trivially valued Q when F is over Q or Qp."""
-    field, nvars = _field_and_nvars(F)
-    if field.integral:
-        F = [_over_q(f) for f in F]
-    return buchberger(F, WeightedOrder((0,) * nvars, GREVLEX)).leading_monomials()
+    _, nvars = _field_and_nvars(F)
+    order = WeightedOrder((0,) * nvars, GREVLEX)
+    return buchberger([_over_q(f) for f in F], order).leading_monomials()
 
 
 def _lift_rows(gens: list, nvars: int, d: int) -> tuple:
@@ -167,7 +158,7 @@ def lift_groebner(
     grevlex = GREVLEX._keys.__getitem__
     gens = []
     for f in F:
-        terms = _integer_terms(f)[0] if field.integral else f.terms
+        terms = loop_form(f)[0]
         gens.append((f.homogeneous_degree(), terms, max(terms, key=grevlex)))
     targets = minimal_generators(monomials)
     if not targets:
@@ -257,7 +248,7 @@ def _certified_by_lift(basis: GroebnerBasis, F: list) -> bool:
 def _substitute_weights(f: Polynomial, weights, p: int) -> dict:
     """The primitive integer term dict of f under x_i -> p^(w_i) x_i, which
     multiplies each coefficient by p^(w . u)."""
-    terms = _integer_terms(f)[0]
+    terms = loop_form(f)[0]
     shift = {m: weight_dot(weights, m) for m in terms}
     low = min(shift.values())
     out = {m: c * p ** (shift[m] - low) for m, c in terms.items()}
@@ -298,7 +289,7 @@ def gb_mod_pm(
     """
     if retry_budget < 0:
         raise ValueError("retry budget must be nonnegative")
-    F = [f for f in F if not f.is_zero()]
+    given, F = F, [f for f in F if not f.is_zero()]
     if not F:
         raise ValueError("need at least one nonzero generator")
     field, nvars = _field_and_nvars(F)
@@ -306,7 +297,7 @@ def gb_mod_pm(
         raise ValueError("order/variable mismatch")
     if not isinstance(field, QpField):
         raise ValueError("mod-p^m acceleration requires a p-adic coefficient field")
-    for idx, f in enumerate(F):
+    for idx, f in enumerate(given):  # numbered as the caller numbers them
         if not f.is_homogeneous():
             raise ValueError(f"generator {idx} is not homogeneous")
     p = field.p

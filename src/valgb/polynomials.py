@@ -10,23 +10,31 @@ once, in ``_add_terms`` and ``_mul_terms``.  ``Polynomial``'s ``+``, ``-``,
 parser.  They drop every monomial whose scalar vanishes, including the
 products of nonzero residues that vanish over Z/p^m.
 
-Over Q and Qp the completion loop makes its elements as ``_IntegerBacked``
-polynomials: each is held as its primitive integer form (integer terms of
-content one and a scale num/den > 0 with num/den * f = terms), the memo
-that the loops read, and its Fraction ``terms`` are built on first read.
-Emptiness, degree, homogeneity and equality between two of them are read
-off the integer form; every other operation reads the Fraction terms.
-Ordinary polynomials carry no part of this.
+The completion loop's element form is decided here and nowhere else.  Its
+loop form (``loop_form``) is what the division, the S-polynomials and the
+eliminations compute on: over Q and Qp the primitive integer form, integer
+terms of content one with a scale num/den > 0 such that num/den * f =
+terms, memoized on the polynomial; the terms themselves over every other
+ring.  ``loop_polynomial`` turns a loop form back into a polynomial, and
+``loop_element`` makes the normalized element of the ring from loop-form
+terms, with its leading data recorded: the generators, every remainder and
+every reduced row join the loop through it.  Over Q and Qp these are
+``_IntegerBacked`` polynomials, held by their integer form, with Fraction
+``terms`` built on first read.  Emptiness, degree, homogeneity and
+equality between two of them are read off the integer form; every other
+operation reads the Fraction terms.  Ordinary polynomials carry no part of
+this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterator
 
-from .fields import CoefficientField
+from .fields import QQ, CoefficientField
 
 Monomial = tuple
 
@@ -381,6 +389,107 @@ class _IntegerBacked(Polynomial):
                 and self._cache["integer-terms"] == other._cache["integer-terms"])
 
     __hash__ = Polynomial.__hash__
+
+
+def _leading(terms: dict, fld, order):
+    """(W, lm) of a nonempty term dict over fld under a weighted order: the
+    least val(c) + w.m, ties going to the largest tiebreak key.
+
+    This is the leading-term scan of ``weights.leading_term``, of the
+    division loop, which keeps its running polynomial as a bare term dict,
+    and of ``loop_element``; it reads loop-form terms (integers over Q and
+    Qp, which ``fld.val`` reads unless the field is trivially valued).
+    """
+    val = None if fld.trivially_valued else fld.val
+    ranks = order._ranks
+    best_w = best_m = best_key = None
+    for m, c in terms.items():
+        wm, key = ranks[m]
+        k = wm if val is None else val(c) + wm
+        if best_m is None or k < best_w or (k == best_w and key > best_key):
+            best_w, best_m, best_key = k, m, key
+    return best_w, best_m
+
+
+def loop_form(f: Polynomial) -> tuple:
+    """(terms, num, den), the form the loops compute on: over Q and Qp s*f
+    as a primitive integer term dict for the positive s = num/den in lowest
+    terms, memoized on the (immutable) polynomial, which an integer-backed
+    one holds from the start; (f.terms, None, None) over any other ring."""
+    if not f.field.integral:
+        return f.terms, None, None
+    cached = f._cache.get("integer-terms")
+    if cached is None:
+        cs = f.terms.values()
+        # coprime: a prime dividing every numerator divides no denominator
+        L, G = lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs))
+        terms = {m: c.numerator * L // (c.denominator * G) for m, c in f.terms.items()}
+        cached = f._cache["integer-terms"] = (terms, L, G)
+    return cached
+
+
+def loop_polynomial(field, nvars: int, terms: dict, num, den) -> Polynomial:
+    """The polynomial terms*den/num of a loop form, which the polynomial
+    keeps as its own: over Q and Qp, integer terms (of any content) and
+    integers num != 0 and den > 0, held integer-backed; the terms
+    themselves over any other ring, where num is None."""
+    if num is None or not terms:
+        return Polynomial(field, nvars, terms, _clean=True)
+    c = gcd(*terms.values())
+    if num < 0:
+        num, c = -num, -c
+    if c != 1:
+        terms = {m: v // c for m, v in terms.items()}
+    den *= abs(c)
+    e = gcd(num, den)
+    return _IntegerBacked(field, nvars, terms, num // e, den // e)
+
+
+def loop_element(field, nvars: int, terms: dict, order) -> Polynomial:
+    """The completion loop's normalized element for nonempty loop-form
+    terms (see ``loop_form``), with its leading data under the order
+    (W = w.lm, lm, lc = 1) recorded from one scan of the terms.
+
+    The terms may be u*f for any unit u, as the division's remainders are;
+    that changes neither the monic form over a field nor the p-content over
+    Z/p^m.  Over a field the element is the monic multiple of the terms,
+    integer-backed over Q and Qp.  Over Z/p^m (m > 1) the p-content p^s is
+    stripped first.  A reduction that vanishes over Q shows up mod p^m with
+    every coefficient carrying at least m minus a bounded number of
+    p-powers, so stripping would promote pure truncation noise to a fake
+    basis element: content at m/2 or above reads as zero, and the zero
+    polynomial is returned.  False zeros are caught by the lift or its
+    certificate and a larger m.
+    """
+    W, lm = _leading(terms, field, order)
+    lc = terms[lm]
+    if field.integral:
+        f = loop_polynomial(field, nvars, terms, lc, 1)
+    else:
+        if not field.is_field:
+            # dividing out p^s lowers every valuation by s, keeping lm; with
+            # weight zero W is already the least valuation
+            s = W if not any(order.weights) else min(map(field.val, terms.values()))
+            if s >= max(1, field.m // 2):
+                return Polynomial.zero(field, nvars)
+            if s:
+                q = field.p**s
+                terms = {m: c // q for m, c in terms.items()}
+                lc = terms[lm]
+        if lc != field.one():
+            inv = field.inv(lc)
+            terms = {m: field.mul(inv, c) for m, c in terms.items()}
+        f = Polynomial(field, nvars, terms, _clean=True)
+    f._cache[order] = (order._ranks[lm][0], lm, field.one())
+    return f
+
+
+def _over_q(f: Polynomial) -> Polynomial:
+    """f over the trivially valued Q, sharing its integer form, when f is
+    over Q or Qp; f itself over any other field."""
+    if not f.field.integral:
+        return f
+    return loop_polynomial(QQ, f.nvars, *loop_form(f))
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:

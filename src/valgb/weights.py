@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import ExtInt
-from .polynomials import GREVLEX, Monomial, Polynomial, TermOrder
+from .polynomials import GREVLEX, Monomial, Polynomial, TermOrder, _leading
 
 LESS = -1
 EQUAL_RANK = 0
@@ -67,25 +67,6 @@ class _RankTable(dict):
             wm += w * m[i]
         rank = self[m] = (wm, self.keys[m])
         return rank
-
-
-def _leading(terms: dict, fld, order: WeightedOrder):
-    """(W, lm) of a nonempty term dict over fld: the least val(c) + w.m, ties
-    going to the largest tiebreak key.
-
-    This is the leading-term scan of both ``leading_term`` and the division
-    loop, which keeps its running polynomial as a bare term dict (of integers
-    over Q and Qp, which ``fld.val`` reads unless the field is trivially valued).
-    """
-    val = None if fld.trivially_valued else fld.val
-    ranks = order._ranks
-    best_w = best_m = best_key = None
-    for m, c in terms.items():
-        wm, key = ranks[m]
-        k = wm if val is None else val(c) + wm
-        if best_m is None or k < best_w or (k == best_w and key > best_key):
-            best_w, best_m, best_key = k, m, key
-    return best_w, best_m
 
 
 def trop_weight(f: Polynomial, weights) -> ExtInt:

@@ -37,8 +37,7 @@ from valgb import (
 )
 from valgb import groebner
 from valgb.cardinality import default_orders
-from valgb.groebner import _modpm_normalize
-from valgb.polynomials import mono_divides
+from valgb.polynomials import loop_element, mono_divides
 
 from conftest import (
     nine_variable_problem,
@@ -202,7 +201,7 @@ def test_hilbert_skip_is_off_without_criteria():
 def test_hilbert_skip_is_sound_in_the_modular_run():
     # on the modpm-d inputs whose first modulus is certified, every pair the
     # modular run of gb_mod_pm skips has a strong remainder that
-    # _modpm_normalize reads as zero, and stats["modular"] counts the skips
+    # the maker (loop_element) reads as zero, and stats["modular"] counts the skips
     rng = random.Random("modpm-d")
     skipped = certified = 0
     for trial in range(100):
@@ -218,7 +217,7 @@ def test_hilbert_skip_is_sound_in_the_modular_run():
         modular = [r for r in hook.remainders if isinstance(r.field, ModPmRing)]
         assert len(modular) == stats["modular"]["hilbert"], trial
         zero = zero_order(3, order.tiebreak)
-        assert all(not r or not _modpm_normalize(r, zero) for r in modular), trial
+        assert all(not r or not loop_element(r.field, 3, r.terms, zero) for r in modular), trial
         # the rest are the certificate's completion over Q
         assert all(not r for r in hook.remainders if r.field == QQ), trial
         skipped += len(modular)

@@ -17,9 +17,8 @@ from valgb import (
     compare,
     leading_term,
     normal_form,
-    support_count_ecart,
 )
-from valgb.division import CoefficientBlowup, StepBudgetExceeded
+from valgb.division import CoefficientBlowup, StepBudgetExceeded, support_count_ecart
 from valgb.weights import GREATER, LESS
 from valgb.polynomials import mono_divides
 

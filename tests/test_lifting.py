@@ -22,13 +22,9 @@ from valgb import (
     lift_groebner,
     reduce_basis,
 )
-from valgb.groebner import _modpm_normalize
-from valgb.lifting import (
-    LiftInconsistent,
-    clear_denominators,
-    gb_mod_pm,
-)
+from valgb.lifting import LiftInconsistent, gb_mod_pm
 from valgb.linalg import bareiss_rank, rref
+from valgb.polynomials import loop_element, loop_form
 
 from conftest import P, polys, random_ideal, random_weights, zero_order
 from oracles import gauss_jordan, macaulay_dim
@@ -210,11 +206,13 @@ def test_rref_empty_and_zero_rows():
 
 
 def test_clear_denominators():
+    # the integer form clears denominators: s*f has coprime integer
+    # coefficients for s = num/den > 0
     f = P(QQ, "x,y", "1/2x+3/4y")
-    g = clear_denominators(f)
-    assert g == P(QQ, "x,y", "2x+3y")
+    assert loop_form(f) == ({(1, 0): 2, (0, 1): 3}, 4, 1)
     h = P(QQ, "x,y", "4x+6y")
-    assert clear_denominators(h) == P(QQ, "x,y", "2x+3y")
+    assert loop_form(h) == ({(1, 0): 2, (0, 1): 3}, 1, 2)
+    assert loop_form(h.scale(-1)) == ({(1, 0): -2, (0, 1): -3}, 1, 2)
 
 
 def _dim(F, d):
@@ -295,14 +293,14 @@ def test_lift_matches_reduced_basis_rows():
 
 
 def test_modpm_normalize_half_modulus_rule():
-    # mod 2^8, content at m/2 = 4 or above is truncation noise and reads as
-    # zero; content below it is stripped and the result made monic
+    # mod 2^8, content at m/2 = 4 or above is truncation noise and the maker
+    # reads it as zero; content below it is stripped and the result made monic
     ring = ModPmRing(2, 8)
     order = zero_order(2)
-    noise = Polynomial(ring, 2, {(1, 0): 2**4, (0, 1): 3 * 2**4})
-    assert _modpm_normalize(noise, order).is_zero()
-    f = Polynomial(ring, 2, {(1, 0): 3 * 2**3, (0, 1): 5 * 2**3})
-    g = _modpm_normalize(f, order)
+    noise = {(1, 0): 2**4, (0, 1): 3 * 2**4}
+    assert loop_element(ring, 2, noise, order).is_zero()
+    f = {(1, 0): 3 * 2**3, (0, 1): 5 * 2**3}
+    g = loop_element(ring, 2, f, order)
     assert g == Polynomial(ring, 2, {(1, 0): 1, (0, 1): 5 * pow(3, -1, 2**8)})
     assert leading_term(g, order)[1:] == ((1, 0), 1)
 

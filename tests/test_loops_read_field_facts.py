@@ -3,7 +3,8 @@
 Division, completion, elimination, Hilbert counts and leading terms branch
 only on what a field states (``integral``, ``trivially_valued``, ``modulus``,
 ``is_field``, ``bits``), so a new field kind is a change to ``fields.py``
-alone.
+alone.  The element form the loops compute on is owned by ``polynomials.py``,
+so a new form is a change to that module alone.
 """
 
 import ast
@@ -45,3 +46,27 @@ def test_hilbert_module_imports_no_loop_module():
         elif isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[-1] for alias in node.names}
     assert not imported & {"groebner", "lifting", "division"}, imported
+
+
+def test_only_polynomials_reads_or_makes_the_integer_form():
+    # the loop's element form has one owner: polynomials.py builds every
+    # integer-backed polynomial and alone names the integer form's memo, and
+    # the modules that compute on loop forms do not fork on the field's
+    # ``integral`` fact to read or rebuild them
+    forking = {"groebner.py", "lifting.py", "cardinality.py", "bounds.py"}
+    found = []
+    for path in sorted((ROOT / "src" / "valgb").glob("*.py")):
+        name = path.name
+        if name == "polynomials.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                    node.func.id == "_IntegerBacked"):
+                found.append(f"{name}:{node.lineno} builds _IntegerBacked")
+            elif isinstance(node, ast.Constant) and node.value == "integer-terms":
+                found.append(f"{name}:{node.lineno} names the integer-terms memo")
+            elif (isinstance(node, ast.Attribute) and node.attr == "integral"
+                  and name in forking):
+                found.append(f"{name}:{node.lineno} reads .integral")
+    assert found == []

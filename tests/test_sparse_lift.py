@@ -16,12 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from valgb import GF, GREVLEX, QQ, Qp, Qt, RatFunc, WeightedOrder, buchberger, gb_mod_pm
-from valgb.division import _integer_terms
 from valgb.groebner import _reduced_rows
 from valgb.hilbert import multiples
 from valgb.lifting import _lift_rows, lift_groebner
 from valgb.linalg import rref
-from valgb.polynomials import compositions, minimal_generators, mono_degree, mono_mul
+from valgb.polynomials import (compositions, loop_form, minimal_generators, mono_degree,
+                               mono_mul)
 
 from conftest import random_ideal, random_weights
 
@@ -101,8 +101,8 @@ def test_koszul_rows_span_all_the_rows(field):
         nvars = rng.choice([2, 3, 3, 4])
         F = random_ideal(rng, field, nvars, max_degree=3, max_gens=4)
         order = WeightedOrder(random_weights(rng, field, nvars), GREVLEX)
-        gens = [(f.homogeneous_degree(), _integer_terms(f)[0],
-                 max(_integer_terms(f)[0], key=GREVLEX.sort_key)) for f in F]
+        gens = [(f.homogeneous_degree(), loop_form(f)[0],
+                 max(loop_form(f)[0], key=GREVLEX.sort_key)) for f in F]
         # the direct Qp run can blow up on these; the certified one cannot
         basis = (buchberger(F, order) if field == QQ
                  else gb_mod_pm(F, order, retry_budget=8, max_coeff_bits=4096))
